@@ -28,8 +28,9 @@ tar.gz archives around:
 
 Trust model: certificates are why a store populated by machines we do
 not control can be adopted at all — a remotely fetched UNSAT verdict
-must come with a RUP-checkable clause proof, a SAT verdict with a
-replayable model, both digest-bound to the query (docs/CERTIFICATES.md).
+must come with a RUP-checkable clause proof (or a ``conj`` bundle whose
+parts are fetched and checked with it), a SAT verdict with a replayable
+model, all digest-bound to the query (docs/CERTIFICATES.md).
 A fetch whose certificate is missing, malformed, mismatched, or simply
 wrong is *rejected* (counted as ``store.remote.rejected_certs``) and
 the query is solved locally as if the remote had missed.
@@ -795,6 +796,8 @@ class RemoteVerdictStore(VerdictStore):
             if not isinstance(cert, dict):
                 cert = None
         if self.verify_certs_enabled():
+            if cert is not None and cert.get("kind") == "conj" and entry["status"] == "unsat":
+                return self._adopt_composite(digest, raw, cert_raw, cert)
             if cert is None or not _cert_matches(digest, entry, cert):
                 # Unverifiable evidence: treat as a miss, solve locally.
                 obs_count("store.remote.rejected_certs")
@@ -805,6 +808,54 @@ class RemoteVerdictStore(VerdictStore):
             self.put_raw_cert(digest, cert_raw)
         obs_count("store.remote.hits")
         return entry
+
+    def _adopt_composite(
+        self, digest: str, raw: bytes, cert_raw: bytes, cert: dict
+    ) -> dict | None:
+        """Adopt a ``conj`` entry only together with its parts.
+
+        Every part is read locally or fetched from the remote, and the
+        composite rule (``checkproof.check_conj``) re-checks each part's
+        ``drat`` certificate and its query against the parent.  Fetched
+        parts are adopted first, then the parent; anything less is a
+        miss, never an unchecked adoption.
+        """
+        from ..smt.checkproof import CheckFailure, check_conj
+
+        fetched: dict[str, tuple[bytes, bytes, dict]] = {}
+
+        def load_part(part: str):
+            if self._read_entry(part) is not None:
+                return self.load_certificate(part)
+            entry_raw, part_cert_raw = self.client.get_entry(part), self.client.get_cert(part)
+            if entry_raw is None or part_cert_raw is None:
+                return None
+            if json.loads(entry_raw).get("status") != "unsat":
+                raise CheckFailure(f"part {part} is not an unsat verdict")
+            fetched[part] = (entry_raw, part_cert_raw, json.loads(part_cert_raw))
+            return fetched[part][2]
+
+        start = time.perf_counter()
+        try:
+            check_conj(cert, load_part)
+        except RemoteUnavailable as exc:
+            obs_count("store.remote.errors")
+            obs_event("warn", "store.fetch.failed", digest=digest, error=str(exc))
+            _mark_remote_down(self.remote_url)
+            return None
+        except Exception:  # noqa: BLE001 - hostile payloads crash arbitrarily
+            obs_count("store.remote.rejected_certs")
+            return None
+        finally:
+            obs_count("store.remote.fetch_s", time.perf_counter() - start)
+        _mark_remote_up(self.remote_url)
+        for part, (entry_raw, part_cert_raw, _cert) in fetched.items():
+            self.put_raw_entry(part, entry_raw)
+            self.put_raw_cert(part, part_cert_raw)
+        self.put_raw_entry(digest, raw)
+        self.put_raw_cert(digest, cert_raw)
+        obs_count("store.remote.hits")
+        return json.loads(raw)
 
     # -- write-back ------------------------------------------------------
 

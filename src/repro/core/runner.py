@@ -25,26 +25,26 @@ Everything above the solver boundary (``repro.sym.check_batch``,
 ``Refinement.prove(jobs=...)``, the verifiers' ``jobs``/``cache_dir``
 knobs) funnels through here.
 
-Since PR 3, parallel dispatch defaults to the **process-wide
-work-stealing scheduler** (``repro.core.scheduler``): one persistent
-pool shared by every ``run_obligations`` call, with per-obligation
-timeout + bounded retry and verdicts memoized in the sharded
-content-addressed store (``repro.core.store.VerdictStore``).  The PR 2
-per-call pool remains as a fallback (``REPRO_NO_SCHEDULER=1``), and
-``jobs=1`` stays the in-process sequential baseline.
+Parallel dispatch goes through the **process-wide work-stealing
+scheduler** (``repro.core.scheduler``): one persistent pool shared by
+every ``run_obligations`` call, with per-obligation timeout + bounded
+retry and verdicts memoized in the sharded content-addressed store
+(``repro.core.store.VerdictStore``).  ``jobs=1`` is the in-process
+sequential baseline.  Both paths split a conjunctive obligation that
+misses the store into one obligation per conjunct (the runner-level
+analogue of Serval's ``split-cases``), so the long state-equality
+refinement VCs spread across workers instead of pinning one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import multiprocessing
 import os
 import time
 from typing import Callable, Iterable, Sequence
 
 from ..obs import (
-    enabled as _obs_enabled,
-    get_collector as _obs_collector,
+    count as _obs_count,
     observe as _obs_observe,
     span as _obs_span,
 )
@@ -56,7 +56,8 @@ from ..smt import (
     mk_not,
     serialize_terms,
 )
-from ..smt.solver import Solver
+from ..smt.proof import build_conj_certificate
+from ..smt.solver import UNSAT, CheckResult, Solver, certs_enabled
 
 __all__ = [
     "Obligation",
@@ -72,6 +73,9 @@ __all__ = [
 PROVED = "proved"
 FAILED = "failed"
 UNKNOWN = "unknown"
+# A round-one marker: "solve my conjuncts instead".  Never leaves
+# run_obligations.
+SPLIT = "split"
 
 
 def default_jobs() -> int:
@@ -249,33 +253,37 @@ def obligations_from_context(ctx, assumptions: Sequence = (), prefix: str = "vc"
 # ---------------------------------------------------------------------------
 # Worker side
 
+def _conjunct_indices(obligation: Obligation, goals: Sequence[Term]) -> list[int] | None:
+    """Payload node indices of the goal's conjuncts, when it splits.
+
+    A single goal that is an ``and`` of two or more conjuncts splits
+    into one sub-obligation per conjunct.  Deserialization rebuilds
+    nodes verbatim, so the term's arguments are the payload node's
+    arguments, in the same order in every process.
+    """
+    if obligation.num_goals != 1 or goals[0].op != "and":
+        return None
+    node = obligation.payload["nodes"][obligation.payload["roots"][0]]
+    return list(node[2]) if len(node[2]) >= 2 else None
+
+
 def _check_obligation(
     obligation: Obligation,
     cache_dir: str | None,
     max_conflicts: int | None,
     timeout_s: float | None,
-    trace: bool = False,
+    split: bool = False,
 ) -> ObligationResult:
     """Discharge one obligation in the current process.
 
     Top-level (not a closure) so worker processes can receive it via
     pickling under any multiprocessing start method.
 
-    With ``trace`` the check runs inside its own tracing session plus
-    symbolic profiler and the snapshot is embedded as
-    ``result.stats["obs"]`` — the envelope the PR 2 fallback pool ships
-    back to the parent (the work-stealing scheduler has its own,
-    richer, envelope path through the outbox).
+    With ``split`` a conjunctive goal that misses the store (or meets
+    no store) is not solved whole: the result is a :data:`SPLIT`
+    marker carrying the conjuncts' payload node indices, and
+    :func:`run_obligations` solves one sub-obligation per conjunct.
     """
-    if trace:
-        from ..obs import tracing
-        from ..sym.profiler import profile
-
-        with tracing(absorb=False) as col, profile() as prof:
-            result = _check_obligation(obligation, cache_dir, max_conflicts, timeout_s)
-        col.merge_regions(prof.snapshot())
-        result.stats["obs"] = col.snapshot()
-        return result
     start = time.perf_counter()
     roots = deserialize_terms(obligation.payload)
     goals = roots[: obligation.num_goals]
@@ -291,8 +299,20 @@ def _check_obligation(
         cache = None
     solver = Solver(max_conflicts=max_conflicts, timeout_s=timeout_s, cache=cache)
     solver.add(*assumptions)
+    negated = mk_not(mk_and(*goals))
+    conjuncts = _conjunct_indices(obligation, goals) if split else None
     try:
-        result = solver.check(mk_not(mk_and(*goals)))
+        result = solver.lookup(negated) if conjuncts else None
+        if conjuncts and result is None:
+            stats = dict(solver.last_stats, time_s=time.perf_counter() - start)
+            stats["cached"] = cache is not None
+            stats["split"] = {
+                "conjuncts": conjuncts,
+                "query": solver.certificate_query() if certs_enabled() else None,
+            }
+            return ObligationResult(obligation.name, SPLIT, stats=stats)
+        if result is None:
+            result = solver.check(negated)
     except SolverTimeout:
         stats = dict(solver.last_stats, time_s=time.perf_counter() - start, timed_out=True)
         return ObligationResult(obligation.name, UNKNOWN, stats=stats)
@@ -308,25 +328,140 @@ def _check_obligation(
     return ObligationResult(obligation.name, UNKNOWN, stats=stats)
 
 
-def _worker(job: tuple) -> ObligationResult:
-    obligation, cache_dir, max_conflicts, timeout_s, trace = job
-    return _check_obligation(obligation, cache_dir, max_conflicts, timeout_s, trace=trace)
+# ---------------------------------------------------------------------------
+# Splitting conjunctive obligations
+
+def _parts(obligation: Obligation, marker: ObligationResult) -> list[Obligation]:
+    """One sub-obligation per conjunct: ``assumptions /\\ not(c_j)``.
+
+    The parts share the parent's node list; only the roots differ.
+    """
+    conjuncts = marker.stats["split"]["conjuncts"]
+    payload = obligation.payload
+    assumption_roots = payload["roots"][obligation.num_goals:]
+    return [
+        Obligation(
+            f"{obligation.name} [part {j + 1}/{len(conjuncts)}]",
+            {"nodes": payload["nodes"], "roots": [c] + assumption_roots},
+            1,
+            dict(obligation.info, part=j),
+        )
+        for j, c in enumerate(conjuncts)
+    ]
 
 
-def _pool_context():
-    """Prefer fork (workers inherit the interned DAG for free); fall
-    back to spawn where fork is unavailable."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+def _fold(
+    obligation: Obligation, marker: ObligationResult, parts: list[ObligationResult]
+) -> ObligationResult:
+    """Reduce a split obligation's part verdicts to one verdict.
+
+    Proved iff every part is proved.  Otherwise the first failing
+    part's model (a model of ``not c_j`` under the assumptions, hence
+    of the whole query), or unknown when no part failed.
+    """
+    stats = {key: value for key, value in marker.stats.items() if key != "split"}
+    stats["cache_hit"] = False
+    stats["parts"] = len(parts)
+    for key in ("time_s", "conflicts", "decisions", "propagations"):
+        total = sum(r.stats.get(key, 0) or 0 for r in parts)
+        if total:
+            stats[key] = stats.get(key, 0) + total
+    for j, result in enumerate(parts):
+        if result.status == FAILED:
+            stats["failed_part"] = j
+            # Variables only the other conjuncts mention are free in
+            # this part's query; any value extends its model.
+            model = {
+                str(name): (False if sort_tag == "b" else 0)
+                for op, sort_tag, _args, name in obligation.payload["nodes"]
+                if op == "var"
+            }
+            model.update(result.model_values or {})
+            return ObligationResult(obligation.name, FAILED, model_values=model, stats=stats)
+    for j, result in enumerate(parts):
+        if result.status != PROVED:
+            stats["failed_part"] = j
+            stats["timed_out"] = bool(result.stats.get("timed_out"))
+            return ObligationResult(obligation.name, UNKNOWN, stats=stats)
+    return ObligationResult(obligation.name, PROVED, stats=stats)
+
+
+def _store_composite(
+    cache_dir: str, marker: ObligationResult, parts: list[ObligationResult]
+) -> None:
+    """Record a proved split obligation under the parent's digest, with
+    a ``conj`` certificate naming its parts, so the next run hits it
+    in round one."""
+    digest = marker.stats.get("digest")
+    part_digests = [r.stats.get("digest") for r in parts]
+    if digest is None or None in part_digests:
+        return
+    from .store import open_store
+
+    store = open_store(cache_dir)
+    query = marker.stats["split"]["query"]
+    if query is not None:
+        emit_start = time.process_time()
+        store.store_certificate(digest, build_conj_certificate(digest, query, part_digests))
+        _obs_count("solver.certs")
+        _obs_count("solver.cert_build_s", time.process_time() - emit_start)
+    store.store(digest, {}, CheckResult(UNSAT))
 
 
 # ---------------------------------------------------------------------------
-# Scheduler
+# Dispatch
 
-def _pool_fallback() -> bool:
-    """True when ``REPRO_NO_SCHEDULER=1`` opts out of the shared
-    scheduler, restoring the PR 2 per-call pool."""
-    return os.environ.get("REPRO_NO_SCHEDULER") == "1"
+def _run_sequential(obligations, cache_dir, max_conflicts, timeout_s, split):
+    """In-process: solver/sym events already record straight into the
+    caller's collector; only the per-obligation scheduler-layer span
+    needs adding."""
+    start = time.perf_counter()
+    results = []
+    for ob in obligations:
+        ob_start = time.perf_counter()
+        with _obs_span(ob.name, cat="scheduler") as sargs:
+            result = _check_obligation(ob, cache_dir, max_conflicts, timeout_s, split)
+        _obs_observe("obligation.wall_seconds", time.perf_counter() - ob_start)
+        if sargs is not None:
+            sargs["status"] = result.status
+        results.append(result)
+    return results, RunnerStats(jobs=1, wall_time_s=time.perf_counter() - start)
+
+
+def _dispatch(obligations, jobs, cache_dir, max_conflicts, timeout_s, retries, split):
+    if jobs <= 1 or len(obligations) <= 1:
+        return _run_sequential(obligations, cache_dir, max_conflicts, timeout_s, split)
+    from .scheduler import get_scheduler
+
+    return get_scheduler(jobs).run(
+        obligations,
+        cache_dir=cache_dir,
+        max_conflicts=max_conflicts,
+        timeout_s=timeout_s,
+        retries=retries,
+        jobs_hint=jobs,
+        split=split,
+    )
+
+
+def _combine_stats(first: RunnerStats, second: RunnerStats) -> RunnerStats:
+    """Telemetry of two dispatch rounds as one run's."""
+    from .scheduler import SchedulerStats
+
+    if not isinstance(first, SchedulerStats):
+        first, second = second, first
+    if isinstance(second, SchedulerStats):
+        wall = first.wall_time_s + second.wall_time_s
+        if wall > 0:
+            first.utilization = (
+                first.utilization * first.wall_time_s + second.utilization * second.wall_time_s
+            ) / wall
+        first.steals += second.steals
+        first.retries += second.retries
+        first.timeouts += second.timeouts
+        first.max_queue_depth = max(first.max_queue_depth, second.max_queue_depth)
+    first.jobs = max(first.jobs, second.jobs)
+    return first
 
 
 def run_obligations(
@@ -345,8 +480,15 @@ def run_obligations(
     scheduler (``repro.core.scheduler``): one persistent pool shared by
     every concurrent caller, per-obligation ``timeout_s`` with
     ``retries`` bounded re-runs, and the sharded verdict store at
-    ``cache_dir``.  Set ``REPRO_NO_SCHEDULER=1`` to fall back to the
-    PR 2 per-call pool.
+    ``cache_dir``.
+
+    Conjunctive goals are split on a store miss: round one looks every
+    obligation up; each conjunctive miss comes back as a marker, and
+    round two solves ``assumptions /\\ not(c_j)`` for every conjunct of
+    every marker as one more batch.  The part verdicts fold back into
+    one result per input obligation, and a proved parent is stored
+    under its own digest with a ``conj`` certificate, so a warm run
+    answers it in round one.
 
     The reduction is deterministic regardless of worker scheduling:
     results come back in input order, so "first failing obligation"
@@ -360,71 +502,28 @@ def run_obligations(
     if in_worker():
         jobs = 1
     start = time.perf_counter()
-    tracing_on = _obs_enabled()
-    if jobs <= 1 or len(obligations) <= 1:
-        # In-process: solver/sym events already record straight into the
-        # caller's collector; only the per-obligation scheduler-layer
-        # span needs adding.
-        results = []
-        for ob in obligations:
-            ob_start = time.perf_counter()
-            with _obs_span(ob.name, cat="scheduler") as sargs:
-                result = _check_obligation(ob, cache_dir, max_conflicts, timeout_s)
-            _obs_observe("obligation.wall_seconds", time.perf_counter() - ob_start)
-            if sargs is not None:
-                sargs["status"] = result.status
-            results.append(result)
-        effective_jobs = 1
-    elif _pool_fallback():
-        # PR 2 fallback: a pool scoped to this one call.  Workers embed
-        # their trace snapshot in ``stats["obs"]``; reassemble here.
-        from ..sym.profiler import active_profiler
-
-        trace = tracing_on or active_profiler() is not None
-        effective_jobs = min(jobs, len(obligations))
-        jobs_args = [(ob, cache_dir, max_conflicts, timeout_s, trace) for ob in obligations]
-        ctx = _pool_context()
-        with ctx.Pool(processes=effective_jobs) as pool:
-            results = pool.map(_worker, jobs_args, chunksize=1)
-        if trace:
-            col = _obs_collector()
-            prof = active_profiler()
-            for result in results:
-                snap = result.stats.pop("obs", None)
-                if snap is None:
-                    continue
-                if prof is not None:
-                    prof.merge_from(snap.get("regions", {}))
-                if col is not None:
-                    if prof is not None:
-                        snap = {**snap, "regions": {}}
-                    col.absorb(snap, tid="worker")
-                    col.add_span(
-                        result.name,
-                        "scheduler",
-                        "worker",
-                        snap["t0"],
-                        result.stats.get("time_s", 0.0),
-                        {"status": result.status},
-                    )
-    else:
-        from .scheduler import get_scheduler
-
-        return get_scheduler(jobs).run(
-            obligations,
-            cache_dir=cache_dir,
-            max_conflicts=max_conflicts,
-            timeout_s=timeout_s,
-            retries=retries,
-            jobs_hint=jobs,
-        )
-    stats = RunnerStats(
-        obligations=len(obligations),
-        jobs=effective_jobs,
-        wall_time_s=time.perf_counter() - start,
-        cache_queries=sum(1 for r in results if r.stats.get("cached")),
-        cache_hits=sum(1 for r in results if r.stats.get("cache_hit")),
-    )
+    settings = (jobs, cache_dir, max_conflicts, timeout_s, retries)
+    results, stats = _dispatch(obligations, *settings, split=True)
+    split_at = [i for i, r in enumerate(results) if r.status == SPLIT]
+    if split_at:
+        parts: list[Obligation] = []
+        spans = []
+        for i in split_at:
+            ob_parts = _parts(obligations[i], results[i])
+            spans.append((i, len(parts), len(ob_parts)))
+            parts.extend(ob_parts)
+        part_results, part_stats = _dispatch(parts, *settings, split=False)
+        results = list(results)
+        for i, lo, count in spans:
+            marker, own = results[i], part_results[lo : lo + count]
+            results[i] = _fold(obligations[i], marker, own)
+            if cache_dir and results[i].proved:
+                _store_composite(cache_dir, marker, own)
+        stats = _combine_stats(stats, part_stats)
+    stats.obligations = len(obligations)
+    stats.wall_time_s = time.perf_counter() - start
+    stats.cache_queries = sum(1 for r in results if r.stats.get("cached"))
+    stats.cache_hits = sum(1 for r in results if r.stats.get("cache_hit"))
     return results, stats
 
 
@@ -438,22 +537,15 @@ def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> list:
 
     With ``jobs > 1`` the items ride the same shared work-stealing pool
     as proof obligations, so a JIT sweep and a refinement proof can
-    interleave on the same workers (``REPRO_NO_SCHEDULER=1`` restores
-    the per-call pool).
+    interleave on the same workers.
     """
-    from .scheduler import in_worker
+    from .scheduler import get_scheduler, in_worker
 
     items = list(items)
     if jobs == 0:
         jobs = default_jobs()
     if jobs <= 1 or len(items) <= 1 or in_worker():
         return [fn(item) for item in items]
-    if _pool_fallback():
-        ctx = _pool_context()
-        with ctx.Pool(processes=min(jobs, len(items))) as pool:
-            return pool.map(fn, items, chunksize=1)
-    from .scheduler import get_scheduler
-
     return get_scheduler(jobs).map(fn, items)
 
 

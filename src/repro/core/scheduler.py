@@ -40,19 +40,19 @@ from __future__ import annotations
 import atexit
 from collections import deque
 from dataclasses import dataclass
+import multiprocessing
 import os
 import queue as queue_mod
 import random
+import signal
 import threading
 import time
 
 from .runner import (
-    Obligation,
     ObligationResult,
     RunnerStats,
     UNKNOWN,
     _check_obligation,
-    _pool_context,
     default_jobs,
 )
 
@@ -199,10 +199,16 @@ class _Ticket:
         }
 
 
+def _pool_context():
+    """Prefer fork (workers inherit the interned DAG for free); fall
+    back to spawn where fork is unavailable."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+
+
 def _run_task(kind: str, payload) -> object:
     if kind == "ob":
-        obligation, cache_dir, max_conflicts, timeout_s = payload
-        return _check_obligation(obligation, cache_dir, max_conflicts, timeout_s)
+        return _check_obligation(*payload)
     fn, item = payload
     return fn(item)
 
@@ -218,7 +224,14 @@ def _worker_main(wid: int, inbox, outbox) -> None:
     profiler, and the serialized snapshot rides home in the outbox
     message.  ``time.perf_counter()`` is machine-wide on Linux, so the
     worker's span timestamps land directly on the parent's timeline.
+
+    Workers are stopped through their inbox, never by signals: a
+    forked worker drops whatever SIGTERM handler its parent installed
+    (the daemon's raises KeyboardInterrupt) and ignores Ctrl-C, which
+    the terminal delivers to the whole process group.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     os.environ[_WORKER_ENV] = "1"
     from ..obs.events import trace_context
 
@@ -379,6 +392,7 @@ class ObligationScheduler:
         job: str | None = None,
         on_result=None,
         trace_id: str | None = None,
+        split: bool = False,
     ) -> _Ticket:
         """Queue obligations; returns a ticket to ``wait()`` on.
 
@@ -389,9 +403,12 @@ class ObligationScheduler:
         the callback's constraints).  ``trace_id`` (defaulting to the
         submitting thread's ambient id) rides to the workers so their
         spans and store requests are correlated with the job.
+        ``split`` lets a conjunctive obligation come back as a split
+        marker (``run_obligations`` solves its parts).
         """
         specs = [
-            ("ob", (ob, cache_dir, max_conflicts, timeout_s), ob.name) for ob in obligations
+            ("ob", (ob, cache_dir, max_conflicts, timeout_s, split), ob.name)
+            for ob in obligations
         ]
         return self._submit(
             specs, retries, trace, job=job, on_result=on_result, trace_id=trace_id
@@ -719,6 +736,7 @@ class ObligationScheduler:
         retries: int = 1,
         jobs_hint: int | None = None,
         trace: bool | None = None,
+        split: bool = False,
     ) -> tuple[list[ObligationResult], SchedulerStats]:
         """Submit, wait, and reduce — the ``run_obligations`` shape.
 
@@ -735,6 +753,7 @@ class ObligationScheduler:
             timeout_s=timeout_s,
             retries=retries,
             trace=trace,
+            split=split,
         )
         results = ticket.wait()
         wall = time.perf_counter() - start

@@ -51,7 +51,17 @@ from .export import (
     write_chrome_trace,
     write_jsonl,
 )
-from .report import render_report, summarize
+
+def __getattr__(name: str):
+    """``render_report`` and ``summarize`` load on first use: importing
+    ``report`` here would put it in ``sys.modules`` before ``python -m
+    repro.obs.report`` runs it as ``__main__`` (a runpy warning)."""
+    if name in ("render_report", "summarize"):
+        from . import report
+
+        return getattr(report, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Collector",

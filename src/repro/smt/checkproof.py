@@ -26,6 +26,11 @@ on purpose and must stay in semantic lockstep with their originals:
     RUP consequence of the clauses before it, and the assumptions must
     propagate to a conflict at the end).
 
+A third kind, ``conj``, certifies an ``unsat`` verdict by its parts:
+the query negates a conjunction, and every part is a ``drat``-certified
+query for one negated conjunct under the same assumptions
+(:func:`check_conj`).
+
 Exit codes: 0 all certificates valid, 1 any invalid (including a
 tampered digest), 2 usage/IO errors.  Missing certificates are
 tolerated in ``--store`` mode (legacy cert-less entries are a supported
@@ -60,17 +65,24 @@ class CheckFailure(Exception):
 # Canonical digest (mirror of repro.smt.terms.canonicalize_nodes)
 
 
-def canonical_digest(data: dict) -> str:
-    """Alpha-blind canonical digest of a serialized query node list."""
-    nodes = data["nodes"]
+def _node_hash(op: str, sort_tag, tag: str, child: list[str]) -> str:
+    return hashlib.sha256(f"{op}|{sort_tag}|{tag}|{child}".encode()).hexdigest()
 
+
+def _shapes(nodes: list) -> list[str]:
+    """Variable-blind shape key per node (pass 1 of the digest)."""
     shape: list[str] = []
     for op, sort_tag, arg_idxs, payload in nodes:
         child = [shape[j] for j in arg_idxs]
         if op in _COMMUTATIVE:
             child = sorted(child)
-        tag = "VAR" if op == "var" else repr(payload)
-        shape.append(hashlib.sha256(f"{op}|{sort_tag}|{tag}|{child}".encode()).hexdigest())
+        shape.append(_node_hash(op, sort_tag, "VAR" if op == "var" else repr(payload), child))
+    return shape
+
+
+def _canonical_names(nodes: list, roots: list, shape: list[str]) -> dict[str, str]:
+    """Canonical variable renaming (pass 2 of the digest): ``v0, v1,
+    ...`` by first occurrence along a DFS in canonical child order."""
 
     def child_order(op: str, arg_idxs: list[int]) -> list[int]:
         if op in _COMMUTATIVE:
@@ -79,7 +91,7 @@ def canonical_digest(data: dict) -> str:
 
     var_map: dict[str, str] = {}
     visited: set[int] = set()
-    for r in data["roots"]:
+    for r in roots:
         stack = [r]
         while stack:
             i = stack.pop()
@@ -93,6 +105,14 @@ def canonical_digest(data: dict) -> str:
                     var_map[name] = f"v{len(var_map)}"
             for j in reversed(child_order(op, arg_idxs)):
                 stack.append(j)
+    return var_map
+
+
+def canonical_digest(data: dict) -> str:
+    """Alpha-blind canonical digest of a serialized query node list."""
+    nodes = data["nodes"]
+    shape = _shapes(nodes)
+    var_map = _canonical_names(nodes, data["roots"], shape)
 
     enc: list[str] = []
     for op, sort_tag, arg_idxs, payload in nodes:
@@ -100,14 +120,37 @@ def canonical_digest(data: dict) -> str:
             tag = var_map[str(payload)]
         else:
             tag = repr(payload)
-        child = [enc[j] for j in child_order(op, arg_idxs)]
-        enc.append(hashlib.sha256(f"{op}|{sort_tag}|{tag}|{child}".encode()).hexdigest())
+        if op in _COMMUTATIVE:
+            arg_idxs = sorted(arg_idxs, key=lambda j: shape[j])
+        enc.append(_node_hash(op, sort_tag, tag, [enc[j] for j in arg_idxs]))
 
     hasher = hashlib.sha256()
     for r in data["roots"]:
         hasher.update(enc[r].encode())
         hasher.update(b"\n")
     return hasher.hexdigest()
+
+
+def _named_root_hashes(nodes: list, roots: list, rename: dict[str, str] | None = None) -> tuple:
+    """Structural hash of each root, variables *by name* (after
+    ``rename``), commutative arguments sorted.
+
+    Unlike the digest this is not alpha-blind: two queries agree only
+    if they use the same variables in the same places, so it can say
+    that one query is another's roots plus one more.
+    """
+    rename = rename or {}
+    named: list[str] = []
+    for op, sort_tag, arg_idxs, payload in nodes:
+        if op == "var":
+            tag = "var:" + rename.get(str(payload), str(payload))
+        else:
+            tag = repr(payload)
+        child = [named[j] for j in arg_idxs]
+        if op in _COMMUTATIVE:
+            child.sort()
+        named.append(_node_hash(op, sort_tag, tag, child))
+    return tuple(named[r] for r in roots)
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +445,114 @@ def check_model(cert: dict) -> dict:
     return {"roots": len(root_values), "model_vars": len(model), "funs": len(funs)}
 
 
-def check_certificate(cert: dict) -> dict:
-    """Verify either kind.  Returns summary counters; raises
-    :class:`CheckFailure` on any problem."""
+def _split_goal(query: dict) -> tuple[list, list[int], list[int]]:
+    """``(nodes, other_roots, conjuncts)`` of a query whose last root
+    is ``not(and(c_1..c_n))``, n >= 2."""
+    nodes, roots = query["nodes"], query["roots"]
+    if not roots:
+        raise CheckFailure("conj certificate query has no roots")
+    op, _sort_tag, args, _payload = nodes[roots[-1]]
+    if op != "not" or len(args) != 1:
+        raise CheckFailure("conj certificate: last root is not a negation")
+    op, _sort_tag, conjuncts, _payload = nodes[args[0]]
+    if op != "and" or len(conjuncts) < 2:
+        raise CheckFailure("conj certificate: last root does not negate a conjunction")
+    return nodes, list(roots[:-1]), list(conjuncts)
+
+
+def check_conj(cert: dict, load_part, check_part=None) -> dict:
+    """Verify a ``conj`` certificate: ``assumptions /\\ not(and(c_1..c_n))``
+    is unsat because every ``assumptions /\\ not(c_j)`` is.
+
+    ``load_part(digest)`` returns a part's certificate document or None;
+    ``check_part`` verifies one (default :func:`check_drat`; store
+    audits pass a memoized one).  The rule:
+
+      * the parent digest binds to its query, whose last root is
+        ``not(and(c_1..c_n))``;
+      * every listed part has a valid ``drat`` certificate bound to
+        its digest;
+      * every part's query is the parent's other roots plus the
+        negation of one ``c_j`` (``not(c_j)``, or ``x`` when ``c_j``
+        is ``not(x)``), compared by named structural hashes after
+        renaming the expected query's variables canonically;
+      * together the parts cover every ``c_j``.
+    """
+    _check_common(cert)
+    if cert.get("kind") != "conj":
+        raise CheckFailure(f"expected kind 'conj', got {cert.get('kind')!r}")
+    parts = cert.get("parts")
+    if (
+        not isinstance(parts, list)
+        or not parts
+        or not all(isinstance(d, str) and _DIGEST_RE.match(d) for d in parts)
+    ):
+        raise CheckFailure("conj certificate needs a non-empty 'parts' list of digests")
+    check_part = check_part or check_drat
+    try:
+        nodes, others, conjuncts = _split_goal(cert["query"])
+        shape = _shapes(nodes)
+        # Expected part queries, keyed by their named root hashes.
+        expected: dict[tuple, list[int]] = {}
+        for j, c in enumerate(conjuncts):
+            op, _sort_tag, args, _payload = nodes[c]
+            if op == "not":
+                # The solver folds not(not(x)) to x.
+                part_nodes, negated, part_shape = nodes, args[0], shape
+            else:
+                part_nodes = nodes + [["not", "b", [c], None]]
+                negated = len(nodes)
+                part_shape = shape + [_node_hash("not", "b", repr(None), [shape[c]])]
+            part_roots = others + [negated]
+            rename = _canonical_names(part_nodes, part_roots, part_shape)
+            expected.setdefault(_named_root_hashes(part_nodes, part_roots, rename), []).append(j)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CheckFailure(f"malformed conj query: {exc}") from None
+
+    covered: set[int] = set()
+    for digest in parts:
+        part = load_part(digest)
+        if not isinstance(part, dict):
+            raise CheckFailure(f"part {digest} has no certificate")
+        if part.get("digest") != digest:
+            raise CheckFailure(f"part {digest} carries a certificate for {part.get('digest')!r}")
+        if part.get("kind") != "drat":
+            raise CheckFailure(
+                f"part {digest} needs a 'drat' certificate, found {part.get('kind')!r}"
+            )
+        try:
+            check_part(part)
+        except CheckFailure as exc:
+            raise CheckFailure(f"part {digest}: {exc}") from None
+        query = part["query"]
+        try:
+            signature = _named_root_hashes(query["nodes"], query["roots"])
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise CheckFailure(f"part {digest}: malformed query: {exc}") from None
+        if signature not in expected:
+            raise CheckFailure(
+                f"part {digest} is not the parent's assumptions plus a negated conjunct"
+            )
+        covered.update(expected[signature])
+    missing = sorted(set(range(len(conjuncts))) - covered)
+    if missing:
+        raise CheckFailure(f"conjuncts {missing} are covered by no part")
+    return {"conjuncts": len(conjuncts), "parts": len(parts)}
+
+
+def check_certificate(cert: dict, load_part=None) -> dict:
+    """Verify any kind.  Returns summary counters; raises
+    :class:`CheckFailure` on any problem.  ``conj`` certificates need
+    ``load_part`` to find their parts (see :func:`check_conj`)."""
     kind = cert.get("kind") if isinstance(cert, dict) else None
     if kind == "drat":
         return check_drat(cert)
     if kind == "model":
         return check_model(cert)
+    if kind == "conj":
+        if load_part is None:
+            raise CheckFailure("a conj certificate is checked against its parts' store")
+        return check_conj(cert, load_part)
     raise CheckFailure(f"unknown certificate kind {kind!r}")
 
 
@@ -454,17 +597,54 @@ def find_certificate(entry_path: str, digest: str) -> str | None:
     return None
 
 
+def store_cert_loader(store_dir: str):
+    """``load_part`` for :func:`check_conj` over a store directory
+    (sharded or flat layout): digest -> certificate document or None."""
+
+    def load(digest: str):
+        for folder in (os.path.join(store_dir, digest[:2]), store_dir):
+            path = find_certificate(os.path.join(folder, f"{digest}.json"), digest)
+            if path is not None:
+                try:
+                    return _load_json(path)
+                except (OSError, ValueError):
+                    return None
+        return None
+
+    return load
+
+
+# The certificate kinds that may back each stored verdict.
+_KINDS_FOR_STATUS = {"sat": ("model",), "unsat": ("drat", "conj")}
+
+
 def audit_store(store_dir: str, require_certs: bool = False, verbose: bool = False) -> dict:
     """Check every certificate in a verdict store.
 
     Returns a summary dict; ``summary['failures']`` lists
     ``(digest, reason)`` pairs.  A verdict whose certificate is absent
     counts in ``missing`` (a failure only under ``require_certs``); a
-    certificate whose kind contradicts the stored verdict fails.
+    certificate whose kind contradicts the stored verdict fails.  A
+    ``conj`` certificate's parts are checked once, however many
+    parents name them.
     """
     checked = missing = 0
     failures: list[tuple[str, str]] = []
-    kinds = {"drat": 0, "model": 0}
+    kinds = {"drat": 0, "model": 0, "conj": 0}
+    load = store_cert_loader(store_dir)
+    verdicts: dict[str, str | None] = {}  # digest -> failure reason, None if valid
+
+    def check_part(part: dict) -> None:
+        digest = part.get("digest")
+        if digest not in verdicts:
+            try:
+                check_drat(part)
+                verdicts[digest] = None
+            except CheckFailure as exc:
+                verdicts[digest] = str(exc)
+        if verdicts[digest] is not None:
+            raise CheckFailure(verdicts[digest])
+
     for digest, entry_path in iter_store_entries(store_dir):
         try:
             entry = _load_json(entry_path)
@@ -484,19 +664,26 @@ def audit_store(store_dir: str, require_certs: bool = False, verbose: bool = Fal
             failures.append((digest, f"unreadable certificate: {exc}"))
             continue
         status = entry.get("status") if isinstance(entry, dict) else None
-        expected_kind = {"sat": "model", "unsat": "drat"}.get(status)
+        allowed = _KINDS_FOR_STATUS.get(status)
         try:
-            if isinstance(cert, dict) and cert.get("digest") != digest:
+            if not isinstance(cert, dict):
+                raise CheckFailure("certificate is not a JSON object")
+            if cert.get("digest") != digest:
                 raise CheckFailure(
                     f"certificate is for digest {cert.get('digest')!r}, "
                     f"stored under {digest!r}"
                 )
-            if expected_kind is not None and cert.get("kind") != expected_kind:
+            if allowed is not None and cert.get("kind") not in allowed:
                 raise CheckFailure(
-                    f"verdict {status!r} needs a {expected_kind!r} certificate, "
-                    f"found {cert.get('kind')!r}"
+                    f"verdict {status!r} needs a {' or '.join(map(repr, allowed))} "
+                    f"certificate, found {cert.get('kind')!r}"
                 )
-            check_certificate(cert)
+            if cert.get("kind") == "drat":
+                check_part(cert)
+            elif cert.get("kind") == "conj":
+                check_conj(cert, load, check_part)
+            else:
+                check_certificate(cert)
         except CheckFailure as exc:
             failures.append((digest, str(exc)))
             continue
@@ -509,6 +696,7 @@ def audit_store(store_dir: str, require_certs: bool = False, verbose: bool = Fal
         "missing": missing,
         "drat": kinds["drat"],
         "model": kinds["model"],
+        "conj": kinds["conj"],
         "failures": failures,
     }
 
@@ -520,7 +708,7 @@ def audit_store(store_dir: str, require_certs: bool = False, verbose: bool = Fal
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.smt.checkproof",
-        description="Verify proof certificates (DRAT refutations and model replays).",
+        description="Verify proof certificates (DRAT refutations, model replays, conj bundles).",
     )
     parser.add_argument("certs", nargs="*", help="certificate files (.cert.json[.gz])")
     parser.add_argument("--store", help="audit every verdict in this store directory")
@@ -542,8 +730,12 @@ def main(argv: list[str] | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"ERROR: cannot read {path}: {exc}", file=sys.stderr)
             return 2
+        # A conj certificate's parts sit next to it in its store: the
+        # file's own folder (flat layout) or its parent (sharded).
+        folder = os.path.dirname(os.path.abspath(path))
+        in_folder, in_parent = store_cert_loader(folder), store_cert_loader(os.path.dirname(folder))
         try:
-            info = check_certificate(cert)
+            info = check_certificate(cert, load_part=lambda d: in_folder(d) or in_parent(d))
         except CheckFailure as exc:
             print(f"FAIL {path}: {exc}", file=sys.stderr)
             rc = 1
@@ -559,7 +751,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         print(
             f"store {args.store}: {summary['checked']} certificates ok "
-            f"({summary['drat']} drat, {summary['model']} model), "
+            f"({summary['drat']} drat, {summary['model']} model, {summary['conj']} conj), "
             f"{summary['missing']} verdicts without certificates, "
             f"{len(summary['failures'])} failures"
         )

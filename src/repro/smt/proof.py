@@ -22,6 +22,8 @@ certificates for trust at scale"):
     bit-level model under canonical variable names plus the
     uninterpreted-function tables the assignment induces, so a
     solver-free evaluator can replay it against the query DAG.
+  * :func:`build_conj_certificate` certifies a query refuted conjunct
+    by conjunct: it names the ``drat`` certificates of the parts.
 
 The independent checker (``python -m repro.smt.checkproof``) consumes
 these documents with zero imports from this package; the wire format is
@@ -33,14 +35,18 @@ recorded antecedents plus the root-level units justifying any literal
 the analysis silently dropped, and input resolution implies RUP.  The
 emission closure includes those units (with their own derivations,
 recursively), and the dependency graph is acyclic because every
-recorded justification predates the event that uses it — so a
-topological order exists and each emitted line checks against its
-predecessors.  Deletions are logged but never emitted: a checker over a
-monotone clause database is sound, since adds are only ever verified
-against consequences.
+recorded justification predates the event that uses it — so the log's
+event order is a topological order and each emitted line checks
+against its predecessors.  Deletions are logged but never emitted: a
+checker over a monotone clause database is sound, since adds are only
+ever verified against consequences.
 """
 
 from __future__ import annotations
+
+from itertools import chain, filterfalse
+import json
+from operator import neg
 
 from .terms import serialize_terms
 
@@ -49,11 +55,18 @@ __all__ = [
     "CertificateError",
     "build_unsat_certificate",
     "build_model_certificate",
+    "build_conj_certificate",
     "canonical_query_payload",
 ]
 
 CERT_FORMAT = "repro-cert"
 CERT_VERSION = 1
+
+# Encoded manifest clauses a proof log keeps for reuse (see
+# build_unsat_certificate); cleared past this many, which bounds the
+# memo near 7 MB (the full Figure 11 grid fills about 50k at jobs=1).
+_MANIFEST_MEMO_LIMIT = 50_000
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 class CertificateError(RuntimeError):
@@ -89,7 +102,9 @@ class ProofLog:
         a stable key for the session.
     """
 
-    __slots__ = ("events", "key2event", "input_units", "deleted", "final", "pinned")
+    __slots__ = (
+        "events", "key2event", "input_units", "deleted", "final", "pinned", "manifest_text"
+    )
 
     def __init__(self) -> None:
         self.events: list[tuple[tuple[int, ...], tuple, tuple[int, ...], int | None]] = []
@@ -98,6 +113,8 @@ class ProofLog:
         self.deleted: list = []
         self.final: dict | None = None
         self.pinned: dict = {}
+        # Clause key -> JSON text without brackets, kept by emission.
+        self.manifest_text: dict = {}
 
     # -- recording hooks (called by the solvers) -------------------------
 
@@ -125,17 +142,20 @@ class ProofLog:
         """Record the refutation's support at the UNSAT decision point.
 
         Walks falsified literals back through their reason clauses while
-        the trail is still intact.  Variables assigned at level 0 are
-        skipped (their justifications are permanent — emission resolves
-        them later); decisions/assumptions terminate the walk (the
-        checker asserts the assumption literals itself).
+        the trail is still intact.  Variables assigned at level 0 end the
+        walk: their justifications are permanent, so the certificate
+        states them as unit facts, collected here as ``root_units``.
+        Decisions/assumptions terminate the walk too (the checker asserts
+        the assumption literals itself).
         """
         if key is not None:
             lits = sat.proof_clause(key)
         keys: list = [key] if key is not None else []
         seen_keys = set(keys)
         seen_vars: set[int] = set()
+        root_units: list[int] = []
         level = sat._level
+        assign = sat._assign
         stack = list(lits)
         while stack:
             q = stack.pop()
@@ -144,6 +164,9 @@ class ProofLog:
                 continue
             seen_vars.add(var)
             if level[var] == 0:
+                a = assign[var]
+                if a != 0 and (a > 0) != (q > 0):
+                    root_units.append(-q)
                 continue
             rk = sat.proof_reason(var)
             if rk is None:
@@ -152,15 +175,21 @@ class ProofLog:
                 seen_keys.add(rk)
                 keys.append(rk)
                 stack.extend(sat.proof_clause(rk))
-        self.final = {"lits": list(lits), "keys": keys, "from_key": key}
+        self.final = {"lits": list(lits), "keys": keys, "from_key": key, "root_units": root_units}
 
     def capture_add_conflict(self, lits) -> None:
         """An ``add_clause`` whose every literal was already false at
         level 0: the rejected clause is the conflict, and since it never
         reached storage it must ride the certificate's CNF manifest
-        explicitly (all its justifications are level-0, hence resolved
-        at emission time)."""
-        self.final = {"lits": list(lits), "keys": [], "from_key": None, "add_clause": list(lits)}
+        explicitly, and each of its literals is refuted by a root-level
+        unit fact."""
+        self.final = {
+            "lits": list(lits),
+            "keys": [],
+            "from_key": None,
+            "add_clause": list(lits),
+            "root_units": [-q for q in lits],
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +215,10 @@ def canonical_query_payload(terms, var_map: dict[str, str], data: dict | None = 
     return {"nodes": nodes, "roots": list(data["roots"])}
 
 
-def build_unsat_certificate(sat, terms, digest, var_map, assumptions, mode, serialized=None) -> dict:
+def build_unsat_certificate(sat, terms, digest, var_map, assumptions, mode, serialized=None) -> bytes:
     """Trim the session proof log to this query's refutation.
 
+    Returns the certificate's compact JSON encoding, ready to store.
     ``assumptions`` are the query's root literals on the incremental
     path (empty on the fresh path, where roots were asserted as input
     units).  Raises :class:`CertificateError` when the log carries no
@@ -199,62 +229,29 @@ def build_unsat_certificate(sat, terms, digest, var_map, assumptions, mode, seri
         raise CertificateError("solver returned unsat but the proof log has no final core")
 
     # Hot path (runs once per cache-miss UNSAT, gated in CI at <10% of
-    # grid wall): keep the per-literal work free of attribute lookups.
+    # grid wall): per-clause work goes through C-level filter/map/join.
     key2event = p.key2event
     input_units = p.input_units
-    level = sat._level
-    assign = sat._assign
 
-    # Dependency nodes: ("cls", key) = learned-clause event.  Problem
-    # clauses go to the CNF manifest; so does every *root-level unit
-    # fact* a derivation leans on, emitted as a unit clause rather than
-    # re-derived through its reason chain.  The manifest is trusted
-    # wholesale by the checker (it cannot re-blast the query), so
-    # deriving those units would add manifest bulk — often the majority
-    # of it — without adding a single checked step to the refutation
-    # skeleton, which stays fully RUP-checked.
-    cnf_keys: list = []
-    cnf_key_set = set()
-    cnf_units: set[int] = set()
-    deps: dict[tuple, list[tuple]] = {}
-    order: list[tuple] = []  # discovery order, for deterministic output
-    pending: list[tuple] = []
-
-    def need_clause(key) -> tuple | None:
-        """Route a clause key to the proof (learned) or the CNF."""
-        if key in key2event:
-            node = ("cls", key)
-            if node not in deps:
-                pending.append(node)
-            return node
-        if key not in cnf_key_set:
-            cnf_key_set.add(key)
-            cnf_keys.append(key)
-        return None
-
-    def clause_unit_deps(lits) -> None:
-        # Inlined root-false test: this scans every literal of every
-        # clause the cone touches.
-        for q in lits:
-            var = q if q > 0 else -q
-            if level[var] != 0:
-                continue
-            a = assign[var]
-            if a == 0 or (a > 0) == (q > 0):
-                continue
-            cnf_units.add(-q)
-
+    # Proof lines are learned-clause events, found by walking
+    # antecedents back from the final core.  Problem clauses go to the
+    # CNF manifest; so does every *root-level unit fact* a derivation
+    # leans on, emitted as a unit clause rather than re-derived through
+    # its reason chain.  The manifest is trusted wholesale by the
+    # checker (it cannot re-blast the query), so deriving those units
+    # would add manifest bulk — often the majority of it — without
+    # adding a single checked step to the refutation skeleton, which
+    # stays fully RUP-checked.
+    #
     # Seed: the final core's clauses, plus a unit fact for every
-    # root-level-false literal they mention, so the final
-    # unit-propagation check sees those literals falsified.  The final
-    # core is captured at the UNSAT moment and the
-    # certificate is built before the solver moves on, so reading the
-    # root-level assignment here is reading the state the answer was
-    # decided under.
-    for key in p.final["keys"]:
-        need_clause(key)
-        clause_unit_deps(sat.proof_clause(key))
-    clause_unit_deps(p.final["lits"])
+    # root-level-false literal they mention (collected by the capture
+    # walk), so the final unit-propagation check sees those literals
+    # falsified.
+    is_learned = key2event.__contains__
+    final_keys = p.final["keys"]
+    pending: list = list(filter(is_learned, final_keys))  # proof lines
+    cnf_key_set = set(filterfalse(is_learned, final_keys))  # CNF
+    cnf_units: set[int] = set(p.final["root_units"])
     if p.final["from_key"] is None and not p.final.get("add_clause"):
         # A final core with no conflict clause of its own: a single
         # literal that is both required and refuted.  When the literal
@@ -266,81 +263,63 @@ def build_unsat_certificate(sat, terms, digest, var_map, assumptions, mode, seri
                 cnf_units.add(lit)
 
     events = p.events
+    learned: set = set()
+    ant_groups = []
+    zero_groups = []
     while pending:
         node = pending.pop()
-        if node in deps:
+        if node in learned:
             continue
-        _lits, ants, zeros, _key = events[key2event[node[1]]]
-        node_deps: list[tuple] = []
-        for ant in ants:
-            dep = need_clause(ant)
-            if dep is not None:
-                node_deps.append(dep)
+        learned.add(node)
+        _lits, ants, zeros, _key = events[key2event[node]]
+        ant_groups.append(ants)
+        pending.extend(filter(is_learned, ants))
         # The units standing in for literals the analysis dropped:
         # recorded at learn time, so they predate this clause.
-        for q in zeros:
-            cnf_units.add(-q)
-        deps[node] = node_deps
-        order.append(node)
+        zero_groups.append(zeros)
+    cnf_key_set.update(filterfalse(is_learned, chain.from_iterable(ant_groups)))
+    cnf_units.update(map(neg, chain.from_iterable(zero_groups)))
 
-    # Topological order (dependencies first).  The graph is acyclic by
-    # construction — every justification predates its user — so a cycle
-    # here means the log is corrupt.
-    emitted: list[tuple] = []
-    state: dict[tuple, int] = {}  # 1 = on stack, 2 = done
+    # Every justification predates the event that uses it, so event
+    # order is a dependency order: each line is RUP given the lines
+    # before it.
+    proof_lines = [events[i][0] for i in sorted(map(key2event.__getitem__, learned))]
 
-    def visit(root: tuple) -> None:
-        stack = [(root, iter(deps[root]))]
-        state[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for dep in it:
-                mark = state.get(dep)
-                if mark == 2:
-                    continue
-                if mark == 1:
-                    raise CertificateError("cycle in proof dependencies")
-                state[dep] = 1
-                stack.append((dep, iter(deps[dep])))
-                advanced = True
-                break
-            if not advanced:
-                stack.pop()
-                state[node] = 2
-                emitted.append(node)
-
-    for node in order:
-        if state.get(node) != 2:
-            visit(node)
-
-    proof_lines: list[list[int]] = [list(events[key2event[node[1]]][0]) for node in emitted]
-
-    cnf: list[list[int]] = [[lit] for lit in sorted(cnf_units)]
-    # proof_clause already returns a fresh list per call; no extra copy.
-    cnf.extend(sat.proof_clause(key) for key in cnf_keys)
+    # The manifest is encoded through a per-log memo of clause texts:
+    # the parts of a split query lean on the same assumption circuitry,
+    # so most of a part's manifest was already encoded for a sibling.
+    keys = list(cnf_key_set)
+    memo = p.manifest_text
+    if len(memo) > _MANIFEST_MEMO_LIMIT:
+        memo.clear()
+    fresh = list(filterfalse(memo.__contains__, keys))
+    if fresh:
+        # One encoder call, split at the clause seams: the per-clause
+        # work stays in C.
+        memo.update(zip(fresh, _encode(sat.proof_clauses(fresh))[2:-2].split("],[")))
+    # Clause texts without their brackets, joined by "],[" below.
+    cnf_text = list(map(str, sorted(cnf_units)))
+    cnf_text.extend(map(memo.__getitem__, keys))
     extra = p.final.get("add_clause")
     if extra:
-        cnf.append(list(extra))
+        cnf_text.append(_encode(list(extra))[1:-1])
 
-    num_vars = max(
-        max((abs(q) for clause in cnf for q in clause), default=0),
-        max((abs(q) for clause in proof_lines for q in clause), default=0),
-        max((abs(q) for q in assumptions), default=0),
+    head = _encode(
+        {
+            "format": CERT_FORMAT,
+            "version": CERT_VERSION,
+            "kind": "drat",
+            "digest": digest,
+            "mode": mode,
+            "num_vars": sat.num_vars,
+            "query": canonical_query_payload(terms, var_map, serialized),
+            "assumptions": list(assumptions),
+            "proof": proof_lines,
+        }
     )
-
-    return {
-        "format": CERT_FORMAT,
-        "version": CERT_VERSION,
-        "kind": "drat",
-        "digest": digest,
-        "mode": mode,
-        "num_vars": num_vars,
-        "query": canonical_query_payload(terms, var_map, serialized),
-        "assumptions": list(assumptions),
-        "cnf": cnf,
-        "proof": proof_lines,
-    }
+    # Splice the pre-encoded manifest in as the last member.
+    cnf = f'[[{"],[".join(cnf_text)}]]' if cnf_text else "[]"
+    return f'{head[:-1]},"cnf":{cnf}}}'.encode()
 
 
 def build_model_certificate(
@@ -410,4 +389,22 @@ def build_model_certificate(
             if name in var_map
         },
         "funs": funs,
+    }
+
+
+def build_conj_certificate(digest: str, query: dict, parts: list[str]) -> dict:
+    """Certify ``assumptions /\\ not(and(c_1..c_n))`` by its parts.
+
+    ``query`` is the parent's canonical payload (last root the negated
+    conjunction) and ``parts`` the digests of the refuted
+    ``assumptions /\\ not(c_j)`` queries, whose own ``drat``
+    certificates sit in the same store.
+    """
+    return {
+        "format": CERT_FORMAT,
+        "version": CERT_VERSION,
+        "kind": "conj",
+        "digest": digest,
+        "query": query,
+        "parts": list(parts),
     }

@@ -815,7 +815,13 @@ class ArenaSolver:
     def proof_clause(self, key: int) -> list[int]:
         """Clause content for a proof key (an arena offset)."""
         arena = self._arena
-        return list(arena[key + 1 : key + 1 + arena[key]])
+        # A list slice is already a fresh list.
+        return arena[key + 1 : key + 1 + arena[key]]
+
+    def proof_clauses(self, keys) -> list[list[int]]:
+        """:meth:`proof_clause` for many keys (certificate manifests)."""
+        arena = self._arena
+        return [arena[key + 1 : key + 1 + arena[key]] for key in keys]
 
     def proof_reason(self, var: int):
         """Proof key of ``var``'s reason clause, or None for a

@@ -115,6 +115,11 @@ class SatSolver:
         """Clause content for a proof key (a pinned ``id()``)."""
         return list(self.proof.pinned[key])
 
+    def proof_clauses(self, keys) -> list[list[int]]:
+        """:meth:`proof_clause` for many keys (certificate manifests)."""
+        pinned = self.proof.pinned
+        return [list(pinned[key]) for key in keys]
+
     def proof_reason(self, var: int):
         """Proof key of ``var``'s reason clause, or None for a
         decision/assumption/learned-unit assignment."""

@@ -49,7 +49,7 @@ from __future__ import annotations
 import gzip
 import json
 import os
-import tempfile
+import threading
 import time
 
 from ..obs import (
@@ -60,7 +60,13 @@ from ..obs import (
 )
 from .bitblast import BitBlaster
 from .model import Model
-from .proof import CertificateError, ProofLog, build_model_certificate, build_unsat_certificate
+from .proof import (
+    CertificateError,
+    ProofLog,
+    build_model_certificate,
+    build_unsat_certificate,
+    canonical_query_payload,
+)
 from .sat import new_solver
 from .sat.solver import SAT, UNKNOWN, UNSAT
 from .sorts import BOOL
@@ -171,6 +177,30 @@ def _walk_query(terms: list[Term]) -> tuple[set[int], set[str]]:
     return seen, names
 
 
+def _atomic_write(target: str, data: bytes) -> bool:
+    """Write ``data`` to ``target`` via a rename, so readers never see
+    a torn file.  The temporary name is unique per process and thread;
+    the directory is created only when the first open finds it missing
+    (emission sits on the solve path).  False if the write failed."""
+    tmp = f"{target}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        try:
+            handle = open(tmp, "wb")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            handle = open(tmp, "wb")
+        with handle:
+            handle.write(data)
+        os.replace(tmp, target)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        return False
+    return True
+
+
 class SolverTimeout(Exception):
     """Raised when a check exceeds its conflict or wall-clock budget."""
 
@@ -228,10 +258,11 @@ class SolverCache:
         """Base certificate path (without the optional ``.gz``)."""
         return os.path.join(self.path, f"{digest}.cert.json")
 
-    def store_certificate(self, digest: str, cert: dict) -> None:
-        """Persist a certificate next to its verdict entry (atomic
-        write; large documents are gzipped)."""
-        data = json.dumps(cert, separators=(",", ":")).encode()
+    def store_certificate(self, digest: str, cert: dict | bytes) -> None:
+        """Persist a certificate (a document, or its JSON encoding)
+        next to its verdict entry (atomic write; large documents are
+        gzipped)."""
+        data = json.dumps(cert, separators=(",", ":")).encode() if isinstance(cert, dict) else cert
         base = self._cert_path(digest)
         target, stale = base, base + ".gz"
         if len(data) >= self.CERT_GZIP_THRESHOLD:
@@ -239,17 +270,7 @@ class SolverCache:
             # and emission sits on the solve path — speed over ratio.
             data = gzip.compress(data, 1)
             target, stale = base + ".gz", base
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, target)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        if not _atomic_write(target, data):
             return
         # Two runs of the same digest may disagree on compression (the
         # certificate is mode-dependent); never leave both variants.
@@ -319,18 +340,7 @@ class SolverCache:
                 for name, value in result.model.items()
                 if name in var_map
             }
-        target = self._entry_path(digest)
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle)
-            os.replace(tmp, target)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        if not _atomic_write(self._entry_path(digest), json.dumps(entry).encode()):
             return
         self.stores += 1
 
@@ -390,6 +400,7 @@ class Solver:
         # Set per check(): the serialized node list behind the digest,
         # reused by certificate emission to avoid a second traversal.
         self._serialized_query: dict | None = None
+        self._pending: tuple | None = None
 
     def add(self, *terms: Term) -> None:
         for t in terms:
@@ -412,6 +423,53 @@ class Solver:
     def check(self, *extra: Term) -> CheckResult:
         """Check satisfiability of the asserted formulas plus ``extra``."""
         start = time.perf_counter()
+        answered = self._answer_without_solving(extra)
+        if answered is not None:
+            return answered
+        terms, digest, var_map = self._pending
+        self._pending = None
+        if incremental_enabled():
+            try:
+                return self._check_incremental(terms, digest, var_map, start)
+            except SolverTimeout:
+                raise  # the session is backtracked and still consistent
+            except BaseException:
+                # Anything else may have interrupted the session mid
+                # mutation; rebuild it on the next query.
+                reset_incremental_session()
+                raise
+        return self._check_fresh(terms, digest, var_map, start)
+
+    def lookup(self, *extra: Term) -> CheckResult | None:
+        """Answer ``check(*extra)`` without solving, or return None.
+
+        Trivial queries and store hits come back exactly as ``check``
+        would return them.  On a miss, ``last_stats["digest"]`` names
+        the query and :meth:`certificate_query` is its certificate
+        payload: the runner splits a conjunctive query at this point
+        instead of solving it whole.
+        """
+        answered = self._answer_without_solving(extra)
+        if answered is None:
+            self.last_stats = {"time_s": 0.0}
+            if self._pending[1] is not None:
+                self.last_stats["digest"] = self._pending[1]
+        return answered
+
+    def certificate_query(self) -> dict | None:
+        """The canonically renamed query payload of the last missed
+        :meth:`lookup` (None without a cache)."""
+        if self._pending is None or self._pending[1] is None:
+            return None
+        return canonical_query_payload(self._pending[0], self._pending[2], self._serialized_query)
+
+    def _answer_without_solving(self, extra) -> CheckResult | None:
+        """Round one of every check: trivial verdicts, then the cache.
+
+        Returns the answer, or None after leaving ``(terms, digest,
+        var_map)`` in ``self._pending`` for the solve.
+        """
+        self._pending = None
         obs_count("solver.queries")
         terms = list(self._assertions) + list(extra)
         # Fast path: syntactic trivialities.
@@ -443,18 +501,8 @@ class Solver:
                 cached.stats["digest"] = digest
                 return cached
             obs_count("solver.cache.misses")
-
-        if incremental_enabled():
-            try:
-                return self._check_incremental(terms, digest, var_map, start)
-            except SolverTimeout:
-                raise  # the session is backtracked and still consistent
-            except BaseException:
-                # Anything else may have interrupted the session mid
-                # mutation; rebuild it on the next query.
-                reset_incremental_session()
-                raise
-        return self._check_fresh(terms, digest, var_map, start)
+        self._pending = (terms, digest, var_map)
+        return None
 
     def _emit_certificate(
         self, sat, blaster, terms, digest, var_map, status, model_values, assumptions, mode

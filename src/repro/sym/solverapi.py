@@ -161,6 +161,9 @@ def _verify_vcs_runner(
     for result, vc in zip(results, ctx.vcs):
         if result.proved:
             continue
+        if "failed_part" in result.stats:
+            # A split VC: which conjunct (index into the goal's "and").
+            stats["failed_part"] = result.stats["failed_part"]
         if result.status == "unknown":
             return ProofResult(False, unknown=True, failed_vc=vc, stats=stats)
         return ProofResult(

@@ -7,7 +7,6 @@ Chrome trace schema validity, the near-zero disabled fast path, SAT
 counter reset between solves, and profiler exclusive-time accounting.
 """
 
-import os
 import time
 
 import pytest
@@ -175,19 +174,6 @@ class TestWorkerReassembly:
         sched = [e for e in col.spans if e.cat == "scheduler"]
         assert [e.name for e in sched] == [r.name for r in results]
         assert all(e.args["status"] == "proved" for e in sched)
-
-    def test_fallback_pool_trace_reassembly(self):
-        os.environ["REPRO_NO_SCHEDULER"] = "1"
-        try:
-            with obs.tracing() as col:
-                results, _ = run_obligations(_obligations("fbtrace", 4), jobs=2)
-        finally:
-            del os.environ["REPRO_NO_SCHEDULER"]
-        assert all(r.proved for r in results)
-        assert len([e for e in col.spans if e.cat == "scheduler"]) == 4
-        assert col.counters["solver.queries"] == 4
-        # The envelope is consumed during reassembly, not left in stats.
-        assert all("obs" not in r.stats for r in results)
 
 
 class TestExport:

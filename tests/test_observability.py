@@ -12,7 +12,10 @@ solve span, and a store request log line.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 import threading
 import urllib.request
 
@@ -500,3 +503,14 @@ class TestReportAndMerge:
         assert doc["counters"]["solver.queries"] == 1
         assert doc["histograms"]["obligation.wall_seconds"]["count"] == 1
         assert [row["name"] for row in doc["obligations"]] == ["ob-a"]
+
+    def test_report_module_runs_without_runpy_warning(self):
+        """``repro.obs`` loads ``report`` lazily, so running it as a
+        module does not re-import it (a runpy RuntimeWarning)."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.obs.report", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "usage:" in proc.stdout

@@ -509,11 +509,14 @@ class TestMidRunKill:
         """run_obligations with REPRO_REMOTE_STORE pointing at a dead
         server: every obligation completes via open_store's remote tier
         degrading, across worker processes."""
+        from repro.core.scheduler import shutdown_scheduler
+
         monkeypatch.setenv("REPRO_REMOTE_STORE", "http://127.0.0.1:1")
         monkeypatch.setenv("REPRO_REMOTE_TIMEOUT_S", "0.5")
-        # The persistent scheduler pool pre-dates this env; use the
-        # per-call pool so workers inherit it.
-        monkeypatch.setenv("REPRO_NO_SCHEDULER", "1")
+        # Workers read the env when they fork: start a pool that sees
+        # the dead remote, and drop it afterwards so no later test
+        # inherits it.
+        shutdown_scheduler()
         from repro.sym import fresh_bv
 
         x = fresh_bv("fd.x", 32)
@@ -524,10 +527,17 @@ class TestMidRunKill:
             Obligation.from_terms("fd-absorb", [((x | y) & x == x).term]),
             Obligation.from_terms("fd-or", [((x | x) == x).term]),
         ]
-        results, stats = run_obligations(
-            obligations, jobs=2, cache_dir=str(tmp_path / "cache")
-        )
+        try:
+            with obs.tracing() as col:
+                results, stats = run_obligations(
+                    obligations, jobs=2, cache_dir=str(tmp_path / "cache")
+                )
+        finally:
+            shutdown_scheduler()
         assert all(r.status == "proved" for r in results)
+        assert stats.pool_workers == 2
+        # The workers met the dead remote, and absorbed it.
+        assert col.counters["store.remote.errors"] > 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ work while keeping every record accounted for.
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -197,6 +201,35 @@ class TestRestartContract:
             assert page["verdicts"] == [partial]
         finally:
             srv.close()
+
+
+class TestDaemonShutdown:
+    def test_sigterm_stops_daemon_and_workers_quietly(self, tmp_path):
+        """SIGTERM stops the daemon; its forked scheduler workers exit
+        through their inbox instead of raising the daemon's
+        KeyboardInterrupt from an inherited handler."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--port", "0", "--jobs", "2",
+             "--store", str(tmp_path / "store"), "--no-trace"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            url = proc.stdout.readline().split()[-1]
+            client = ServeClient(url, timeout_s=120.0)
+            # A parallel job forks the pool, so there are workers to stop.
+            job = client.submit_obligations(_batch(), jobs=2)
+            assert client.wait(job["id"])["state"] == "done"
+            assert client.healthz()["pool_workers"] == 2
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "daemon stopped" in out
+        assert "KeyboardInterrupt" not in err and "Traceback" not in err
 
 
 class TestHttpSurface:
