@@ -167,6 +167,19 @@ class ObligationResult:
     def proved(self) -> bool:
         return self.status == PROVED
 
+    def span_args(self) -> dict:
+        """Fields of this obligation's ``scheduler`` span: the verdict,
+        whether the store was asked and missed, and the SAT work this
+        run spent on it (none on a store hit)."""
+        stats = self.stats
+        hit = bool(stats.get("cache_hit"))
+        return {
+            "status": self.status,
+            "miss": bool(stats.get("cached")) and not hit,
+            "propagations": 0 if hit else stats.get("propagations", 0),
+            "clauses": 0 if hit else stats.get("blasted_clauses", stats.get("sat_clauses", 0)),
+        }
+
     def to_json(self) -> dict:
         """Wire format for a verdict (``repro.serve`` streams these).
 
@@ -423,7 +436,7 @@ def _run_sequential(obligations, cache_dir, max_conflicts, timeout_s, split):
             result = _check_obligation(ob, cache_dir, max_conflicts, timeout_s, split)
         _obs_observe("obligation.wall_seconds", time.perf_counter() - ob_start)
         if sargs is not None:
-            sargs["status"] = result.status
+            sargs.update(result.span_args())
         results.append(result)
     return results, RunnerStats(jobs=1, wall_time_s=time.perf_counter() - start)
 

@@ -717,7 +717,7 @@ class ObligationScheduler:
                 args["trace_id"] = ticket.trace_id
                 args["ob_id"] = f"{ticket.trace_id}.{index}"
             if isinstance(result, ObligationResult):
-                args["status"] = result.status
+                args.update(result.span_args())
             col.add_span(
                 entry["name"],
                 "scheduler",

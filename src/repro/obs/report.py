@@ -1,8 +1,10 @@
 """Terminal profile report: ``python -m repro.obs.report BENCH_fig11.json``.
 
-Ranks proof obligations by wall time and symbolic-profiler regions by
-the §3.2 bottleneck score — the profile-then-optimize loop the paper
-runs with SymPro, over the artifact a traced benchmark run persisted.
+Ranks proof obligations by wall time, totals them per VC family (the
+AF and RI refinement parts, memory-access and uniform-block checks,
+...), and ranks symbolic-profiler regions by the §3.2 bottleneck score
+— the profile-then-optimize loop the paper runs with SymPro, over the
+artifact a traced benchmark run persisted.
 
 Accepts any JSON document that either *is* an obs summary (has
 ``obligations``/``regions``/``counters`` keys) or carries one under an
@@ -13,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
-__all__ = ["summarize", "render_report", "main"]
+__all__ = ["summarize", "family_table", "render_report", "main"]
 
 
 def summarize(collector, profiler=None) -> dict:
@@ -53,6 +56,39 @@ def summarize(collector, profiler=None) -> dict:
             name: hist.summary() for name, hist in sorted(collector.histograms.items())
         },
     }
+
+
+def _family(name: str) -> str:
+    """The VC family of an obligation name: the VC message without its
+    ``vc[i]:`` index and ``monitor.op.O<n>:`` prefix.  Split parts form
+    their own family, with a ``(part)`` suffix, apart from their
+    parents' round-one lookups."""
+    name = re.sub(r"^vc\[\d+\]: ", "", name)
+    name = re.sub(r"^[\w.]+\.O\d: ", "", name)
+    name, parts = re.subn(r" \[part \d+/\d+\]$", "", name)
+    return f"{name} (part)" if parts else name
+
+
+_FAMILY_TOTALS = ("count", "misses", "wall_s", "propagations", "clauses")
+
+
+def family_table(obligations: list) -> list[dict]:
+    """Obligation rows totalled per VC family, heaviest wall first:
+    count, store misses, wall seconds, SAT propagations and blasted
+    clauses."""
+    families: dict[str, dict] = {}
+    for row in obligations:
+        name = _family(str(row.get("name", "?")))
+        fam = families.get(name)
+        if fam is None:
+            fam = families[name] = {"family": name, **dict.fromkeys(_FAMILY_TOTALS, 0)}
+        fam["count"] += 1
+        fam["misses"] += bool(row.get("miss"))
+        for key in ("wall_s", "propagations", "clauses"):
+            value = row.get(key)
+            if isinstance(value, (int, float)):
+                fam[key] += value
+    return sorted(families.values(), key=lambda f: f["wall_s"], reverse=True)
 
 
 def _region_score(region: dict) -> float:
@@ -101,6 +137,19 @@ def render_report(doc: dict, top: int = 15) -> str:
             )
     else:
         lines.append("  (none recorded — run with tracing enabled)")
+
+    families = family_table(obligations)
+    if families:
+        lines.append(f"\n== obligations by VC family (top {min(top, len(families))}) ==")
+        lines.append(
+            f"{'family':<44} {'count':>6} {'misses':>6} {'wall(s)':>8} "
+            f"{'propagations':>12} {'clauses':>9}"
+        )
+        for fam in families[:top]:
+            lines.append(
+                f"{fam['family'][:44]:<44} {fam['count']:>6} {fam['misses']:>6} "
+                f"{fam['wall_s']:>8.3f} {fam['propagations']:>12} {fam['clauses']:>9}"
+            )
 
     regions = obs.get("regions") or []
     lines.append(f"\n== regions by §3.2 bottleneck score (top {min(top, len(regions))}) ==")
@@ -189,6 +238,7 @@ def _report_json(doc: dict, top: int) -> dict:
     regions = obs.get("regions") or []
     out = {
         "obligations": obligations[:top],
+        "families": family_table(obligations)[:top],
         "regions": regions[:top],
         "counters": dict(sorted((obs.get("counters") or {}).items())),
         "histograms": obs.get("histograms") or {},

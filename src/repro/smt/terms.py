@@ -406,6 +406,17 @@ def mk_eq(a: Term, b: Term) -> Term:
             return b if a.payload else mk_not(b)
         if b.op == "boolconst":
             return a if b.payload else mk_not(a)
+    else:
+        # Solve linear equalities: (x + k) == c -> x == c - k (mod 2^w)
+        # and (x - y) == 0 -> x == y, so the implementation's
+        # ``cur - 2 == 0`` interns as the spec's ``cur == 2``.
+        for x, c in ((a, b), (b, a)):
+            if not c.is_const():
+                continue
+            if x.op == "bvadd" and x.args[1].is_const():
+                return mk_eq(x.args[0], mk_bv(c.payload - x.args[1].payload, c.width))
+            if x.op == "bvsub" and c.payload == 0:
+                return mk_eq(x.args[0], x.args[1])
     # eq distributes over ite with a constant on the other side; this
     # is the folding that makes split-cases effective (§4).
     if a.op == "ite" and b.is_const():
@@ -419,21 +430,50 @@ def mk_eq(a: Term, b: Term) -> Term:
     # at construction time.
     if a.op == "ite" and b.op == "ite" and a.args[0] is b.args[0]:
         return mk_ite(a.args[0], mk_eq(a.args[1], b.args[1]), mk_eq(a.args[2], b.args[2]))
-    # ite equal to one of its own branches: only the guard (or the
-    # other branch's equality) remains.
-    if a.op == "ite":
-        if a.args[1] is b:
-            return mk_or(a.args[0], mk_eq(a.args[2], b))
-        if a.args[2] is b:
-            return mk_or(mk_not(a.args[0]), mk_eq(a.args[1], b))
-    if b.op == "ite":
-        if b.args[1] is a:
-            return mk_or(b.args[0], mk_eq(b.args[2], a))
-        if b.args[2] is a:
-            return mk_or(mk_not(b.args[0]), mk_eq(b.args[1], a))
     if a.tid > b.tid:
         a, b = b, a
+    # Small ite trees over a shared leaf (a page's content vs. the same
+    # content zeroed under another guard; a register vs. a select over
+    # the register file): lift a guard, eq(ite(g, x, y), t) ->
+    # ite(g, eq(x, t), eq(y, t)), from the tree with more distinct
+    # leaves.  A bare term is a one-leaf tree, so an ite equal to one
+    # of its own branches reduces to its guard.  The shared leaf folds
+    # away, so guards and leaf-vs-leaf equalities reach the bit-blaster
+    # instead of two mux trees.
+    if (a.op == "ite" or b.op == "ite") and a.sort is not BOOL:
+        a_leaves, b_leaves = _ite_leaves(a), _ite_leaves(b)
+        if a_leaves and b_leaves and not a_leaves.isdisjoint(b_leaves):
+            if b.op == "ite" and (a.op != "ite" or len(b_leaves) > len(a_leaves)):
+                a, b = b, a
+            return mk_ite(a.args[0], mk_eq(a.args[1], b), mk_eq(a.args[2], b))
     return manager.intern("eq", BOOL, (a, b))
+
+
+# ``mk_eq`` lifts ite trees with at most this many leaf occurrences,
+# which bounds the lifted term to the product of the two trees' sizes.
+_ITE_LEAF_BOUND = 16
+
+
+def _ite_leaves(t: Term) -> set[int] | None:
+    """Leaf tids of the ite tree ``t``, or ``None`` when it has more
+    than ``_ITE_LEAF_BOUND`` leaf occurrences.
+
+    Not memoized: the walk stops after the bound's node count, and in
+    a long-running daemon a per-term memo was about 40% of the resident
+    set the lifting added."""
+    if t.op != "ite":
+        return {t.tid}
+    leaves: set[int] = set()
+    budget = 2 * _ITE_LEAF_BOUND - 1  # nodes in a tree with that many leaves
+    stack = [t]
+    while stack and budget >= 0:
+        node = stack.pop()
+        budget -= 1
+        if node.op == "ite":
+            stack.extend((node.args[2], node.args[1]))
+        else:
+            leaves.add(node.tid)
+    return leaves if not stack and budget >= 0 else None
 
 
 def mk_distinct(a: Term, b: Term) -> Term:

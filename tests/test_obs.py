@@ -213,6 +213,49 @@ class TestExport:
         assert "obligations by wall time" in text
         assert "report[0]" in text
 
+    def test_report_family_table(self, tmp_path):
+        from repro.obs.report import family_table, render_report, summarize
+
+        # Alpha-equivalent goals: the store answers all but the first.
+        obligations = [
+            Obligation(f"vc[{i}]: fam.op.O1: commutes", ob.payload, ob.num_goals, ob.info)
+            for i, ob in enumerate(_obligations("family", 3))
+        ]
+        with obs.tracing() as col:
+            run_obligations(obligations, jobs=1, cache_dir=str(tmp_path))
+        summary = summarize(col)
+        [fam] = family_table(summary["obligations"])
+        assert fam["family"] == "commutes"
+        assert (fam["count"], fam["misses"]) == (3, 1)
+        assert fam["clauses"] > 0
+        assert "obligations by VC family" in render_report({"obs": summary})
+
+    def test_family_names(self):
+        from repro.obs.report import family_table
+
+        rows = [
+            {"name": "vc[35]: certikos.yield.O1: AF lock-step refinement [part 2/22]",
+             "wall_s": 0.5, "miss": True, "propagations": 100, "clauses": 10},
+            {"name": "vc[29]: komodo.enter.O1: AF lock-step refinement [part 1/13]",
+             "wall_s": 0.25, "miss": False, "propagations": 0, "clauses": 0},
+            {"name": "vc[0]: memory access outside region", "wall_s": 0.1},
+            {"name": "vc[35]: certikos.yield.O1: AF lock-step refinement", "wall_s": 0.01},
+        ]
+        fams = family_table(rows)
+        assert [f["family"] for f in fams] == [
+            "AF lock-step refinement (part)",
+            "memory access outside region",
+            "AF lock-step refinement",
+        ]
+        assert fams[0] == {
+            "family": "AF lock-step refinement (part)",
+            "count": 2,
+            "misses": 1,
+            "wall_s": 0.75,
+            "propagations": 100,
+            "clauses": 10,
+        }
+
 
 class TestDisabledOverhead:
     def test_disabled_fast_path_is_cheap(self):
