@@ -50,8 +50,9 @@ else
 fi
 
 # -- sat-stress ------------------------------------------------------
-# DIMACS corpus agreement (arena / arena-nochrono / legacy) plus
-# incremental-vs-fresh obligation verdict equality.
+# DIMACS corpus agreement (arena / arena-nochrono / legacy), grid
+# verdicts equal to the constructed ones in a shared and a reset-per-
+# check session, and the checkproof audit of the grid's certificates.
 run_job sat-stress python scripts/sat_stress.py
 
 # -- grid-cold / grid-warm -------------------------------------------

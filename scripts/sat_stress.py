@@ -1,27 +1,29 @@
 #!/usr/bin/env python3
-"""SAT stress gate: corpus agreement across solver implementations and modes.
+"""SAT stress gate: corpus agreement across solver implementations, plus
+obligation verdicts checked against the answers the grid fixes.
 
-Usage: sat_stress.py [--corpus-only] [--obligations]
+Usage: sat_stress.py [--corpus-only]
 
-Two layers of checking, mirroring the ``sat-stress`` CI job:
+Three layers of checking, mirroring the ``sat-stress`` CI job:
 
   * **DIMACS corpus** (``tests/data/*.cnf``): every instance is solved
     by the arena solver (chronological backtracking on and off) and the
     legacy reference solver; all verdicts must agree with each other
     and with the ``c expect`` header, and every SAT model is checked
     against the clauses.
-  * **Obligation modes**: a small verification grid runs in two child
-    processes — one with ``REPRO_NO_INCREMENTAL=1`` (fresh solver per
-    check), one in the default incremental mode — and the per-
-    obligation verdict lists must be identical.
+  * **Obligation grid**: a small verification grid, built so that
+    obligation ``i`` fails exactly when ``i % 4 == 3``, must get those
+    verdicts in the shared per-process session, and again with the
+    session reset before every check.
+  * **Certificates**: the grid runs cache-backed and the independent
+    ``checkproof --require-certs`` audit must accept every stored
+    verdict.
 
-Exits nonzero on any disagreement.  ``--obligations`` is the child-
-process entry point (prints a verdict JSON line; not for direct use).
+Exits nonzero on any disagreement.
 """
 
 import argparse
 import glob
-import json
 import os
 import subprocess
 import sys
@@ -108,59 +110,51 @@ def check_corpus() -> int:
     return 1 if failures else 0
 
 
-def obligation_verdicts() -> list[str]:
-    """The child-process payload: solve a small grid, return verdicts."""
-    from repro.core.runner import Obligation, run_obligations
+def stress_obligations(prefix: str) -> list:
+    """The stress grid: obligation ``i`` is invalid iff ``i % 4 == 3``."""
+    from repro.core.runner import Obligation
     from repro.smt import bv_sort, fresh_var, mk_bv, mk_bvand, mk_bvmul, mk_bvxor, mk_eq, mk_ule
 
     obligations = []
     for i in range(10):
-        x = fresh_var("sx", bv_sort(8))
-        y = fresh_var("sy", bv_sort(8))
+        x = fresh_var(f"{prefix}x", bv_sort(8))
+        y = fresh_var(f"{prefix}y", bv_sort(8))
         if i % 4 == 3:
             goal = mk_eq(mk_bvmul(x, y), mk_bv(91, 8))  # not valid
         elif i % 2:
             goal = mk_ule(mk_bvand(x, mk_bv(0x3F, 8)), mk_bv(0x3F, 8))
         else:
             goal = mk_eq(mk_bvxor(mk_bvxor(x, y), y), mk_bvand(x, mk_bv(0xFF, 8)))
-        obligations.append(Obligation.from_terms(f"stress{i}", [goal]))
+        obligations.append(Obligation.from_terms(f"{prefix}{i}", [goal]))
+    return obligations
+
+
+def check_grid() -> int:
+    """Grid verdicts must be the constructed ones, both in the shared
+    session and with the session reset before every check."""
+    from repro.core.runner import FAILED, PROVED, run_obligations
+    from repro.smt.solver import reset_incremental_session
+
+    expected = [FAILED if i % 4 == 3 else PROVED for i in range(10)]
+    obligations = stress_obligations("stress")
     results, _ = run_obligations(obligations, jobs=1)
-    return [r.status for r in results]
-
-
-def check_modes() -> int:
-    verdicts = {}
-    for mode, env_val in (("incremental", "0"), ("fresh", "1")):
-        env = dict(os.environ)
-        env["REPRO_NO_INCREMENTAL"] = env_val
-        env["PYTHONPATH"] = os.path.join(REPO, "src")
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--obligations"],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=REPO,
-        )
-        if proc.returncode != 0:
-            print(f"FAIL: {mode} child exited {proc.returncode}:\n{proc.stderr}", file=sys.stderr)
-            return 1
-        verdicts[mode] = json.loads(proc.stdout.strip().splitlines()[-1])
-        print(f"{mode:12s} {verdicts[mode]}")
-    if verdicts["incremental"] != verdicts["fresh"]:
-        print(
-            "FAIL: incremental and fresh-solver verdicts differ:\n"
-            f"  incremental: {verdicts['incremental']}\n"
-            f"  fresh:       {verdicts['fresh']}",
-            file=sys.stderr,
-        )
+    shared = [r.status for r in results]
+    reset = []
+    for obligation in obligations:
+        reset_incremental_session()
+        results, _ = run_obligations([obligation], jobs=1)
+        reset.append(results[0].status)
+    print(f"{'expected':12s} {expected}\n{'shared':12s} {shared}\n{'reset':12s} {reset}")
+    if shared != expected or reset != expected:
+        print("FAIL: grid verdicts differ from the constructed ones", file=sys.stderr)
         return 1
-    print("mode agreement holds")
+    print("grid verdicts hold")
     return 0
 
 
 def check_certificates() -> int:
-    """Run the stress grid cache-backed in both solver modes, then audit
-    every stored verdict with the independent proof checker.
+    """Run the stress grid cache-backed, then audit every stored
+    verdict with the independent proof checker.
 
     The audit runs ``python -m repro.smt.checkproof --store`` in a child
     process, exactly as a third party would — nothing from this
@@ -171,27 +165,7 @@ def check_certificates() -> int:
     from repro.core.runner import run_obligations
 
     with tempfile.TemporaryDirectory(prefix="stress_certs_") as store:
-        for mode, env_val in (("incremental", "0"), ("fresh", "1")):
-            os.environ["REPRO_NO_INCREMENTAL"] = env_val
-            try:
-                from repro.core.runner import Obligation
-                from repro.smt import bv_sort, fresh_var, mk_bv, mk_bvand, mk_bvmul, mk_bvxor, mk_eq, mk_ule
-
-                obligations = []
-                for i in range(10):
-                    x = fresh_var(f"c{mode}x", bv_sort(8))
-                    y = fresh_var(f"c{mode}y", bv_sort(8))
-                    if i % 4 == 3:
-                        goal = mk_eq(mk_bvmul(x, y), mk_bv(91, 8))
-                    elif i % 2:
-                        goal = mk_ule(mk_bvand(x, mk_bv(0x3F, 8)), mk_bv(0x3F, 8))
-                    else:
-                        goal = mk_eq(mk_bvxor(mk_bvxor(x, y), y), mk_bvand(x, mk_bv(0xFF, 8)))
-                    obligations.append(Obligation.from_terms(f"cert-{mode}-{i}", [goal]))
-                run_obligations(obligations, jobs=1, cache_dir=store)
-            finally:
-                os.environ.pop("REPRO_NO_INCREMENTAL", None)
-
+        run_obligations(stress_obligations("cert"), jobs=1, cache_dir=store)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(REPO, "src")
         proc = subprocess.run(
@@ -213,16 +187,11 @@ def check_certificates() -> int:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--corpus-only", action="store_true")
-    parser.add_argument("--obligations", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
-
-    if args.obligations:
-        print(json.dumps(obligation_verdicts()))
-        return 0
 
     rc = check_corpus()
     if not args.corpus_only:
-        rc = check_modes() or rc
+        rc = check_grid() or rc
         rc = check_certificates() or rc
     return rc
 

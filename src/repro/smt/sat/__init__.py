@@ -1,19 +1,16 @@
 """CDCL SAT solver core.
 
-Two interchangeable implementations live here:
+Two implementations live here, with the same API (``new_var``/
+``add_clause``/``solve``/``solve_with``/``value``/``model``/``stats``/
+``iter_problem_clauses``):
 
-* :class:`ArenaSolver` (default) — flat clause arena, flat watch
-  lists, indexed VSIDS heap; the fast path.
+* :class:`ArenaSolver` — flat clause arena, flat watch lists, indexed
+  VSIDS heap, cone-restricted search and proof logging; the only core
+  the solver frontend and the bit-blaster use.
 * :class:`SatSolver` — the reference implementation with per-clause
-  Python lists; kept as the semantic oracle and selectable with
-  ``REPRO_SAT_IMPL=legacy``.
-
-Use :func:`new_solver` to construct whichever the environment asks
-for; both expose the same API (``new_var``/``add_clause``/``solve``/
-``solve_with``/``value``/``model``/``stats``/``iter_problem_clauses``).
+  Python lists; kept as the semantic oracle that the SAT tests and the
+  ``sat_stress.py`` DIMACS corpus check the arena core against.
 """
-
-import os
 
 from .arena import ArenaSolver
 from .solver import SAT, SatSolver, UNKNOWN, UNSAT, luby, to_dimacs
@@ -26,17 +23,4 @@ __all__ = [
     "UNKNOWN",
     "luby",
     "to_dimacs",
-    "new_solver",
 ]
-
-
-def new_solver():
-    """Construct a SAT solver per ``REPRO_SAT_IMPL``.
-
-    ``REPRO_SAT_IMPL=legacy`` selects the reference list-of-lists
-    solver (which also disables incremental sessions upstream — see
-    ``repro.smt.solver``); anything else gets the arena solver.
-    """
-    if os.environ.get("REPRO_SAT_IMPL", "").lower() == "legacy":
-        return SatSolver()
-    return ArenaSolver()

@@ -31,10 +31,10 @@ rebuilds the hot loop on flat integer buffers:
     ``repro.smt.solver`` for the soundness argument: everything outside
     the cone is definitional and extendable).
 
-The external contract is identical to :class:`SatSolver` (same methods,
-same counters, same assumption semantics), so the bit-blaster and the
-solver frontend can swap implementations via ``repro.smt.sat.new_solver``
-(``REPRO_SAT_IMPL=legacy`` restores the reference solver).
+The external contract matches :class:`SatSolver` (same methods, same
+counters, same assumption semantics), which stays as the reference
+oracle the SAT tests and the ``sat_stress.py`` corpus check this core
+against.
 
 Literals are non-zero ints in the DIMACS convention throughout.
 """
@@ -291,9 +291,8 @@ class ArenaSolver:
         Cold tier: the decidable variables (current cone, or every
         variable) in index order.  Hot tier: variables that already
         carry activity.  Relevancy-restricted solves reset cone
-        activity first (see ``solve``), so their decision sequence —
-        and hence their counters — depend only on the query's own
-        structure, never on what the session solved before it.
+        activity first (see ``solve``), so earlier queries' bumps do
+        not order their decisions.
         """
         assign, act = self._assign, self._activity
         if self._rel is None:
@@ -610,9 +609,11 @@ class ArenaSolver:
             self.proof.final = None
         self._rel = relevant
         if relevant is not None:
-            # History independence: a cone-restricted solve starts from
-            # zero activity and a fresh increment so its decision
-            # sequence (and counters) depend only on the query itself.
+            # A cone-restricted solve starts from zero activity and a
+            # fresh increment, so earlier queries' bumps do not steer
+            # its decisions.  Learned clauses, root-level facts and
+            # saved phases still carry over: its counters depend on
+            # session history, its verdict does not.
             act = self._activity
             for v in relevant:
                 act[v] = 0.0
@@ -767,9 +768,8 @@ class ArenaSolver:
     def maintain(self) -> None:
         """Between-solve housekeeping for long-lived (session) solvers:
         backtrack to the root level and trim the learned-clause DB.
-        Cone-restricted solves skip mid-search reduction so that their
-        counters stay history-independent; call this after each query
-        to keep the DB bounded instead."""
+        Cone-restricted solves skip mid-search reduction, so call this
+        after each query to keep the DB bounded."""
         self._backtrack(0)
         self._reduce_learned()
 

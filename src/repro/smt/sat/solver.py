@@ -95,36 +95,6 @@ class SatSolver:
         self.added_clauses = 0
         self.timed_out = False
         self.max_learned = 4000
-        # Optional proof sink (repro.smt.proof.ProofLog).  None keeps
-        # the hot loop hook-free: every recording site guards on it.
-        self.proof = None
-        self._last_ants: list[int] = []
-        self._last_zeros: list[int] = []
-
-    # -- proof-log adapters --------------------------------------------------
-    # Clauses here are plain Python lists, so ``id(clause)`` is the
-    # session-stable key — provided the log pins a reference (via
-    # ``note_clause``) so the id is never recycled by the allocator.
-
-    def _proof_key(self, clause: list[int]) -> int:
-        key = id(clause)
-        self.proof.note_clause(key, clause)
-        return key
-
-    def proof_clause(self, key: int) -> list[int]:
-        """Clause content for a proof key (a pinned ``id()``)."""
-        return list(self.proof.pinned[key])
-
-    def proof_clauses(self, keys) -> list[list[int]]:
-        """:meth:`proof_clause` for many keys (certificate manifests)."""
-        pinned = self.proof.pinned
-        return [list(pinned[key]) for key in keys]
-
-    def proof_reason(self, var: int):
-        """Proof key of ``var``'s reason clause, or None for a
-        decision/assumption/learned-unit assignment."""
-        clause = self._reason[var]
-        return None if clause is None else self._proof_key(clause)
 
     # -- variable / clause management --------------------------------------
 
@@ -150,10 +120,8 @@ class SatSolver:
         if not self._ok:
             return False
         assert not self._trail_lim, "add_clause only at decision level 0"
-        proof = self.proof
         seen = set()
         clause = []
-        falsified = []
         for lit in lits:
             self.ensure_vars(abs(lit))
             if -lit in seen:
@@ -164,26 +132,17 @@ class SatSolver:
             if val is True:
                 return True
             if val is False:
-                falsified.append(lit)
                 continue  # falsified at level 0; drop
             seen.add(lit)
             clause.append(lit)
         if not clause:
-            # Every literal already false at level 0: the input clause
-            # itself is the refutation's conflict.
-            if proof is not None:
-                proof.capture_add_conflict(falsified)
+            # Every literal already false at level 0.
             self._ok = False
             return False
         self.added_clauses += 1
         if len(clause) == 1:
-            if proof is not None:
-                proof.input_unit(clause[0])
             self._enqueue(clause[0], None)
-            conflict = self._propagate()
-            if conflict is not None:
-                if proof is not None:
-                    proof.capture_final(self, key=self._proof_key(conflict))
+            if self._propagate() is not None:
                 self._ok = False
             return self._ok
         self._attach(clause)
@@ -312,15 +271,7 @@ class SatSolver:
         clause = conflict
         index = len(self._trail) - 1
         cur_level = self._decision_level()
-        # Proof recording (cold path, only with a sink attached): the
-        # clauses this resolution consumes and the root-level-false
-        # literals it silently drops.
-        proof = self.proof
-        ants: list[int] | None = [] if proof is not None else None
-        zeros: set[int] | None = set() if proof is not None else None
         while True:
-            if ants is not None and clause:
-                ants.append(self._proof_key(clause))
             for q in clause if lit is None else clause[1:]:
                 var = abs(q)
                 if not seen[var] and self._level[var] > 0:
@@ -330,8 +281,6 @@ class SatSolver:
                         counter += 1
                     else:
                         learned.append(q)
-                elif zeros is not None and self._level[var] == 0:
-                    zeros.add(q)
             # Pick the next literal on the trail to resolve on.
             while not seen[abs(self._trail[index])]:
                 index -= 1
@@ -359,20 +308,9 @@ class SatSolver:
                 minimized.append(q)
                 continue
             if all(abs(r) in marked or self._level[abs(r)] == 0 for r in reason[1:]):
-                # Self-subsuming resolution with the reason clause: the
-                # proof needs that clause and the units covering its
-                # root-level literals.
-                if ants is not None:
-                    ants.append(self._proof_key(reason))
-                    for r in reason[1:]:
-                        if self._level[abs(r)] == 0:
-                            zeros.add(r)
-                continue
+                continue  # self-subsuming resolution with the reason
             minimized.append(q)
         learned = minimized
-        if ants is not None:
-            self._last_ants = ants
-            self._last_zeros = sorted(zeros)
 
         if len(learned) == 1:
             return learned, 0
@@ -414,7 +352,6 @@ class SatSolver:
         dropped = self._learned[:keep_from]
         locked = {id(self._reason[abs(lit)]) for lit in self._trail if self._reason[abs(lit)] is not None}
         kept_front = []
-        proof = self.proof
         for clause in dropped:
             if id(clause) in locked or len(clause) <= 2:
                 kept_front.append(clause)
@@ -425,8 +362,6 @@ class SatSolver:
                 except ValueError:
                     pass
             self._clause_act.pop(id(clause), None)
-            if proof is not None:
-                proof.deleted_clause(id(clause))
         self._learned = kept_front + self._learned[keep_from:]
 
     def solve(
@@ -453,18 +388,9 @@ class SatSolver:
         self.conflict_literals = 0
         self.max_decision_level = 0
         if not self._ok:
-            # The root conflict that cleared _ok was captured when it
-            # happened; keep that final core for re-asked queries.
             return UNSAT
-        if self.proof is not None:
-            # Drop any stale final core so a missed hook can never leak
-            # a previous query's refutation into this one's certificate.
-            self.proof.final = None
         self._backtrack(0)
-        conflict = self._propagate()
-        if conflict is not None:
-            if self.proof is not None:
-                self.proof.capture_final(self, key=self._proof_key(conflict))
+        if self._propagate() is not None:
             self._ok = False
             return UNSAT
 
@@ -492,15 +418,10 @@ class SatSolver:
                         self._backtrack(0)
                         return UNKNOWN
                 if self._decision_level() == 0:
-                    if self.proof is not None:
-                        self.proof.capture_final(self, key=self._proof_key(conflict))
                     self._ok = False
                     return UNSAT
                 if self._decision_level() <= self._num_assumed:
-                    # Conflict depends only on assumptions.  Capture the
-                    # reason chain before backtracking destroys it.
-                    if self.proof is not None:
-                        self.proof.capture_final(self, key=self._proof_key(conflict))
+                    # Conflict depends only on assumptions.
                     self._backtrack(0)
                     return UNSAT
                 learned, bj = self._analyze(conflict)
@@ -508,26 +429,17 @@ class SatSolver:
                 self.conflict_literals += len(learned)
                 self._backtrack(max(bj, self._num_assumed))
                 if len(learned) == 1:
-                    if self.proof is not None:
-                        self.proof.learned(learned, self._last_ants, self._last_zeros)
                     if self._value(learned[0]) is False:
                         self._backtrack(0)
                         if self._value(learned[0]) is False:
                             # The derived unit is refuted by the root
-                            # level itself: the final core is the unit
-                            # plus whatever justifies its negation.
-                            if self.proof is not None:
-                                self.proof.capture_final(self, lits=[learned[0]])
+                            # level itself.
                             self._ok = False
                             return UNSAT
                     if self._value(learned[0]) is None:
                         self._enqueue(learned[0], None)
                 else:
                     self._attach(learned)
-                    if self.proof is not None:
-                        self.proof.learned(
-                            learned, self._last_ants, self._last_zeros, key=self._proof_key(learned)
-                        )
                     self._learned.append(learned)
                     self._clause_act[id(learned)] = self._cla_inc
                     self._cla_inc *= 1.001
@@ -548,10 +460,7 @@ class SatSolver:
                 val = self._value(lit)
                 if val is False:
                     # An assumption literal is already falsified (by the
-                    # root level or by earlier assumptions): record its
-                    # reason chain before it unwinds.
-                    if self.proof is not None:
-                        self.proof.capture_final(self, lits=[lit])
+                    # root level or by earlier assumptions).
                     self._backtrack(0)
                     return UNSAT
                 if val is True:

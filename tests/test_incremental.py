@@ -13,15 +13,27 @@ import pytest
 
 from repro.core.runner import Obligation, reduce_results, run_obligations
 from repro.core.scheduler import ObligationScheduler
-from repro.smt.sat import SAT, ArenaSolver, UNSAT
+from repro.smt import solver as solver_module
+from repro.smt.sat import SAT, UNKNOWN, ArenaSolver, UNSAT
 from repro.smt.solver import (
     Solver,
     SolverCache,
+    SolverTimeout,
     get_incremental_session,
-    incremental_enabled,
     reset_incremental_session,
 )
-from repro.smt.terms import fresh_var, mk_bv, mk_bvadd, mk_bvand, mk_bvmul, mk_bvxor, mk_eq, mk_ule, mk_var
+from repro.smt.terms import (
+    fresh_var,
+    mk_bv,
+    mk_bvadd,
+    mk_bvand,
+    mk_bvmul,
+    mk_bvxor,
+    mk_eq,
+    mk_ule,
+    mk_ult,
+    mk_var,
+)
 from repro.smt.sorts import bv_sort
 
 
@@ -31,6 +43,33 @@ def _fresh_session():
     reset_incremental_session()
     yield
     reset_incremental_session()
+
+
+def _random_queries(seed: int) -> list[list]:
+    """Equations over a few shared 8-bit variables, so queries share
+    blasted structure; every other query also bounds both operands,
+    which makes some of them unsatisfiable."""
+    rng = random.Random(seed)
+    ops = [mk_bvadd, mk_bvmul, mk_bvxor, mk_bvand]
+    queries = []
+    for i in range(20):
+        x = mk_var(f"rx{i % 5}", bv_sort(8))
+        y = mk_var(f"ry{i % 3}", bv_sort(8))
+        query = [mk_eq(rng.choice(ops)(x, y), mk_bv(rng.randrange(256), 8))]
+        if i % 2:
+            bound = mk_bv(rng.randrange(4, 16), 8)
+            query += [mk_ult(x, bound), mk_ult(y, bound)]
+        queries.append(query)
+    return queries
+
+
+def _reset_per_check_verdicts(queries) -> list[str]:
+    """The reference: each query solved on a just-reset session."""
+    verdicts = []
+    for query in queries:
+        reset_incremental_session()
+        verdicts.append(Solver().check(*query).status)
+    return verdicts
 
 
 class TestLearnedRetention:
@@ -65,7 +104,6 @@ class TestLearnedRetention:
         s1 = Solver()
         r1 = s1.check(shared, mk_ule(x, mk_bv(100, 16)))
         assert r1.status == SAT
-        assert s1.last_stats["incremental"]
         assert s1.last_stats["reused_clauses"] == 0
         s2 = Solver()
         r2 = s2.check(shared, mk_ule(y, mk_bv(100, 16)))
@@ -101,25 +139,33 @@ class TestSessionLifecycle:
         assert r.status == SAT
 
     def test_session_recycled_past_var_cap(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INCREMENTAL_MAX_VARS", "8")
+        monkeypatch.setattr(solver_module, "_SESSION_MAX_VARS", 8)
         first = get_incremental_session()
         Solver().check(mk_eq(mk_var("r", bv_sort(16)), mk_bv(77, 16)))
         assert first.sat.num_vars > 8
         assert get_incremental_session() is not first
 
-    def test_escape_hatch_disables_incremental(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_INCREMENTAL", "1")
-        assert not incremental_enabled()
-        s = Solver()
-        r = s.check(mk_eq(mk_var("s", bv_sort(8)), mk_bv(9, 8)))
-        assert r.status == SAT
-        assert "incremental" not in s.last_stats
-        sess = get_incremental_session()
-        assert sess.checks == 0  # untouched
+    def test_session_survives_budget_exhaustion_and_timeout(self):
+        """An exhausted conflict budget and a wall-clock timeout both
+        leave the shared session in place and consistent: later
+        queries get the verdicts reset-per-check solving gets."""
+        session = get_incremental_session()
+        x = mk_var("bx", bv_sort(8))
+        y = mk_var("by", bv_sort(8))
+        hard = [mk_eq(mk_bvmul(x, y), mk_bv(97, 8)), mk_eq(mk_bvadd(x, y), mk_bv(0, 8))]
+        easy = [mk_eq(mk_bvmul(x, y), mk_bv(91, 8))]
+        assert Solver(max_conflicts=1).check(*hard).status == UNKNOWN
+        for query in (hard, easy):
+            with pytest.raises(SolverTimeout):
+                Solver(timeout_s=0.0).check(*query)
+        assert get_incremental_session() is session
 
-    def test_legacy_impl_disables_incremental(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SAT_IMPL", "legacy")
-        assert not incremental_enabled()
+        batch = _random_queries(4243) + [hard, easy]
+        shared = [Solver().check(*q).status for q in batch]
+        assert get_incremental_session() is session
+        assert session.checks == len(batch) + 3
+        assert shared == _reset_per_check_verdicts(batch)
+        assert shared[-2:] == [UNSAT, SAT]
 
 
 class TestDeterminismIncremental:
@@ -127,7 +173,6 @@ class TestDeterminismIncremental:
         """With incremental solving ON (the default), ten different
         work-stealing interleavings still reproduce the sequential
         verdicts in order, including the same first failure."""
-        assert incremental_enabled()
         obligations = []
         for i in range(8):
             x = fresh_var("x", bv_sort(8))
@@ -157,21 +202,12 @@ class TestDeterminismIncremental:
             first = reduce_results(results)
             assert first is not None and first.name == "inc2", f"seed {seed}"
 
-    def test_incremental_matches_fresh_on_random_queries(self, monkeypatch):
-        """Property check: every query answers identically with and
-        without the shared session."""
-        rng = random.Random(4242)
-        queries = []
-        for i in range(20):
-            x = mk_var(f"rx{i % 5}", bv_sort(8))
-            y = mk_var(f"ry{i % 3}", bv_sort(8))
-            k = mk_bv(rng.randrange(256), 8)
-            op = rng.choice([mk_bvadd, mk_bvmul, mk_bvxor, mk_bvand])
-            queries.append(mk_eq(op(x, y), k))
-        incr = [Solver().check(q).status for q in queries]
-        monkeypatch.setenv("REPRO_NO_INCREMENTAL", "1")
-        fresh = [Solver().check(q).status for q in queries]
-        assert incr == fresh
+    def test_incremental_matches_fresh_on_random_queries(self):
+        """Property check: every query answers in the shared session
+        exactly as it does on a just-reset one."""
+        queries = _random_queries(4242)
+        shared = [Solver().check(*q).status for q in queries]
+        assert shared == _reset_per_check_verdicts(queries)
 
 
 class TestCacheKeys:
