@@ -14,9 +14,11 @@ Run:  python examples/quickstart.py
 
 import time
 
+from repro import obs
 from repro.core import EngineOptions, run_interpreter
 from repro.core.errors import EngineFuelExhausted
-from repro.sym import bv_val, new_context, profile
+from repro.obs.report import render_regions, summarize
+from repro.sym import bv_val, new_context
 from repro.toyrisc import (
     ToyCpu,
     ToyRISC,
@@ -54,7 +56,7 @@ def main() -> None:
     print(f"   step consistency proved: {result.proved}")
 
     print("== 5. symbolic profiling without split-pc (§3.2)")
-    with profile() as prof:
+    with obs.tracing() as col:
         with new_context():
             cpu = ToyCpu.symbolic(32)
             try:
@@ -63,7 +65,7 @@ def main() -> None:
                 )
             except EngineFuelExhausted:
                 pass
-    print(prof.report(top=4))
+    print(render_regions(summarize(col)["regions"], top=4))
     print("   (fetch explodes under a symbolic pc — split-pc repairs it)")
 
 

@@ -70,6 +70,9 @@ run_job grid-perf-gate python scripts/check_bench.py \
     BENCH_fig11.json BENCH_baseline.json
 run_job grid-trace-smoke python scripts/check_trace.py "$tmp/trace.json"
 run_job grid-profile-report python -m repro.obs.report BENCH_fig11.json
+run_job grid-profile-regions python -c "import json, sys;
+names = [r['name'] for r in json.load(open('BENCH_fig11.json'))['obs']['regions']];
+sys.exit(0 if 'riscv.fetch' in names else f'BENCH_fig11.json obs.regions lacks riscv.fetch: {names}')"
 run_job grid-cold-export python -m repro.core.store \
     --store "$tmp/store-cold" export "$tmp/verdicts.tar.gz"
 run_job grid-warm-import python -m repro.core.store \

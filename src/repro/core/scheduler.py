@@ -220,8 +220,8 @@ def _worker_main(wid: int, inbox, outbox) -> None:
     so the dispatcher, not the pool, decides what to do about it.
 
     When the parent is tracing (``trace`` set in the task message), the
-    task runs inside its own obs tracing session plus symbolic
-    profiler, and the serialized snapshot rides home in the outbox
+    task runs inside its own obs tracing session (spans, counters and
+    §3.2 regions), and the serialized snapshot rides home in the outbox
     message.  ``time.perf_counter()`` is machine-wide on Linux, so the
     worker's span timestamps land directly on the parent's timeline.
 
@@ -250,11 +250,9 @@ def _worker_main(wid: int, inbox, outbox) -> None:
             with trace_context(trace_id, ob_id):
                 if trace:
                     from ..obs import tracing
-                    from ..sym.profiler import profile
 
-                    with tracing(absorb=False) as col, profile() as prof:
+                    with tracing(absorb=False) as col:
                         result = _run_task(kind, payload)
-                    col.merge_regions(prof.snapshot())
                     snap = col.snapshot()
                 else:
                     result = _run_task(kind, payload)
@@ -673,36 +671,26 @@ class ObligationScheduler:
     @staticmethod
     def _want_trace(trace: bool | None) -> bool:
         """Default the ``trace`` knob to "the caller is observing":
-        an obs tracing session or a symbolic profiler is active."""
+        an obs tracing session is active."""
         if trace is not None:
             return trace
         from ..obs import enabled
-        from ..sym.profiler import active_profiler
 
-        return enabled() or active_profiler() is not None
+        return enabled()
 
     def _collect_trace(self, ticket: _Ticket) -> None:
-        """Reassemble worker envelopes into the caller's collector and
-        profiler, and lay down one ``scheduler``-category span per task
-        (its solving interval, on its worker's track)."""
+        """Reassemble worker envelopes into the caller's collector, and
+        lay down one ``scheduler``-category span per task (its solving
+        interval, on its worker's track)."""
         from ..obs import get_collector
-        from ..sym.profiler import active_profiler
 
         col = get_collector()
-        prof = active_profiler()
-        for entry in ticket.obs:
-            if entry is None:
-                continue
-            wid, snap = entry
-            if prof is not None:
-                prof.merge_from(snap.get("regions", {}))
-            if col is not None:
-                if prof is not None:
-                    # Regions went to the profiler; don't double-count.
-                    snap = {**snap, "regions": {}}
-                col.absorb(snap, tid=f"worker-{wid}")
         if col is None:
             return
+        for entry in ticket.obs:
+            if entry is not None:
+                wid, snap = entry
+                col.absorb(snap, tid=f"worker-{wid}")
         for index, entry in enumerate(ticket.timeline):
             if entry is None:
                 continue

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import obs
 from ..core.image import Image, Symbol, build_memory
 from ..llvm.interp import run_function
 from ..sym import new_context
@@ -38,7 +39,6 @@ def scan_for_ub(
     bugs: set[str] | frozenset[str] = frozenset(),
     jobs: int = 1,
     cache_dir: str | None = None,
-    trace: bool | str = False,
 ) -> list[UbFinding]:
     """Run the LLVM verifier's UB checks over every monitor call.
 
@@ -52,25 +52,22 @@ def scan_for_ub(
     message) pair, the first failing instance winning — identical to
     the sequential scan.
     """
-    from ..obs import maybe_tracing
     from ..sym import SymBool
-    from ..sym.profiler import region
     from ..sym.solverapi import check_batch
 
-    with maybe_tracing(trace):
-        module = build_module(bugs)
-        work: list[tuple[str, object]] = []
-        for name, func in module.functions.items():
-            with new_context() as ctx, region(f"keystone.{name}"):
-                run_function(func, mem=_memory())
-                vcs = list(ctx.vcs)
-            for vc in vcs:
-                work.append((name, vc))
-        results = check_batch(
-            [(f"{name}: {vc.message}", SymBool(vc.formula), []) for name, vc in work],
-            jobs=jobs,
-            cache_dir=cache_dir,
-        )
+    module = build_module(bugs)
+    work: list[tuple[str, object]] = []
+    for name, func in module.functions.items():
+        with new_context() as ctx, obs.region(f"keystone.{name}"):
+            run_function(func, mem=_memory())
+            vcs = list(ctx.vcs)
+        for vc in vcs:
+            work.append((name, vc))
+    results = check_batch(
+        [(f"{name}: {vc.message}", SymBool(vc.formula), []) for name, vc in work],
+        jobs=jobs,
+        cache_dir=cache_dir,
+    )
     findings: list[UbFinding] = []
     reported: set[tuple[str, str]] = set()
     for (name, vc), result in zip(work, results):

@@ -1,9 +1,9 @@
 """``repro.obs`` — unified tracing and metrics for the whole stack.
 
 Every layer of the Figure-1 stack reports here: symbolic evaluation
-(``sym`` regions), bit-blasting (``bitblast``), the CDCL core
-(``sat``), the verdict cache (``solver-cache``), and the
-work-stealing scheduler (``scheduler``, one span per proof-obligation
+(``sym`` regions, the §3.2 symbolic profile), bit-blasting
+(``bitblast``), the CDCL core (``sat``), the verdict cache
+(``solver-cache``), and the work-stealing scheduler (``scheduler``, one span per proof-obligation
 timeline).  The paper's workflow is profile-then-optimize (§3.2); this
 package is what makes that workflow possible once the work runs in
 scheduler worker processes — workers serialize their span buffers and
@@ -19,10 +19,11 @@ Usage::
     obs.write_chrome_trace(col, "trace.json")   # chrome://tracing / Perfetto
     print(obs.render_report({"obs": obs.summarize(col)}))
 
-Disabled-by-default: ``obs.span(...)``/``obs.count(...)`` outside a
-``tracing()`` block cost one global load and a None test.  Counters
-never include wall-clock values, so they are bit-identical across two
-runs with the same seed — the determinism contract CI checks.
+Disabled-by-default: ``obs.span(...)``/``obs.region(...)``/
+``obs.count(...)`` outside a ``tracing()`` block cost one global load
+and a None test.  Counters never include wall-clock values, so they are
+bit-identical across two runs with the same seed — the determinism
+contract CI checks.
 """
 
 from .collector import (
@@ -34,8 +35,8 @@ from .collector import (
     enabled,
     event,
     get_collector,
-    maybe_tracing,
     observe,
+    region,
     span,
     tracing,
 )
@@ -76,11 +77,11 @@ __all__ = [
     "event",
     "get_collector",
     "jsonl_lines",
-    "maybe_tracing",
     "merge_chrome_traces",
     "new_trace_id",
     "observe",
     "parse_prometheus",
+    "region",
     "render_prometheus",
     "render_report",
     "span",

@@ -11,14 +11,16 @@ One :class:`Collector` holds everything a tracing session records:
     wall-clock quantities, so two runs of the same workload with the
     same seeds produce bit-identical counter maps — the property the
     CI determinism guard checks;
-  * **regions** — aggregated §3.2 symbolic-profiler region statistics
-    merged in from worker snapshots.
+  * **regions** — the §3.2 symbolic profile: per labelled region of
+    symbolic evaluation, its calls, the ``sym.terms``/``sym.merges``/
+    ``sym.splits`` counted inside it, the largest guarded union merged
+    inside it, and its inclusive and exclusive time.
 
-The module-level API (:func:`span`, :func:`count`) is the one the rest
-of the stack calls.  Its disabled fast path is a single global load
-plus an ``is None`` test, returning a shared no-op context manager —
-no allocation, no clock read — so instrumentation can stay in hot
-paths permanently.
+The module-level API (:func:`span`, :func:`count`, :func:`region`) is
+the one the rest of the stack calls.  Its disabled fast path is a
+single global load plus an ``is None`` test, returning a shared no-op
+context manager — no allocation, no clock read — so instrumentation
+can stay in hot paths permanently.
 
 Timestamps are ``time.perf_counter()`` values.  On Linux that clock is
 ``CLOCK_MONOTONIC``, which is machine-wide, so spans recorded in
@@ -44,8 +46,8 @@ __all__ = [
     "enabled",
     "event",
     "get_collector",
-    "maybe_tracing",
     "observe",
+    "region",
     "span",
     "tracing",
 ]
@@ -241,6 +243,61 @@ class _NullSpan:
 
 _NULL_SPAN = _NullSpan()
 
+# The counters a region charges to itself, as deltas over its extent.
+_REGION_COUNTERS = ("sym.terms", "sym.merges", "sym.splits")
+
+# Accumulators of the innermost open region: the time spent in its
+# closed child regions, and the largest guarded union merged inside it
+# (the merge hook raises ``_union_peak``).  A region saves its parent's
+# pair on entry and folds its own into it on exit, so no region stack
+# is kept.  Like the term manager they observe, they assume symbolic
+# evaluation runs on one thread at a time.
+_child_s = 0.0
+_union_peak = 0
+
+
+class _Region(_Span):
+    """A ``sym`` span that also folds one call into ``Collector.regions``."""
+
+    __slots__ = ("_base", "_saved")
+
+    def __enter__(self) -> dict:
+        global _child_s, _union_peak
+        counters = self._col.counters
+        self._base = [counters.get(key, 0) for key in _REGION_COUNTERS]
+        self._saved = (_child_s, _union_peak)
+        _child_s = 0.0
+        _union_peak = 0
+        return super().__enter__()
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        global _child_s, _union_peak
+        dur = time.perf_counter() - self._start
+        child_s, peak = _child_s, _union_peak
+        parent_child_s, parent_peak = self._saved
+        _child_s = parent_child_s + dur
+        _union_peak = max(parent_peak, peak)
+        counters = self._col.counters
+        terms, merges, splits = (
+            counters.get(key, 0) - base for key, base in zip(_REGION_COUNTERS, self._base)
+        )
+        self._args.update(terms=terms, merges=merges, splits=splits)
+        self._col.merge_regions(
+            {
+                self._name: {
+                    "name": self._name,
+                    "calls": 1,
+                    "terms": terms,
+                    "merges": merges,
+                    "splits": splits,
+                    "max_union": peak,
+                    "time_s": dur,
+                    "excl_s": dur - child_s,
+                }
+            }
+        )
+        return super().__exit__(exc_type, exc, tb)
+
 
 class Collector:
     """Accumulates spans, counters, and region stats for one session."""
@@ -337,7 +394,8 @@ class Collector:
     # -- merging ---------------------------------------------------------
 
     def merge_regions(self, regions: dict[str, dict]) -> None:
-        """Accumulate aggregated SymProfiler region stats."""
+        """Accumulate region rows: counts and times add, ``max_union``
+        takes the maximum."""
         with self._lock:
             for name, incoming in regions.items():
                 mine = self.regions.get(name)
@@ -438,6 +496,20 @@ def span(name: str, cat: str = "app", tid: str = "main", **args):
     return col.span(name, cat=cat, tid=tid, **args)
 
 
+def region(name: str):
+    """Attribute enclosed symbolic evaluation to the §3.2 region ``name``.
+
+    Disabled, this is :func:`span`'s shared no-op.  Enabled, it records
+    a ``sym`` span whose args carry the region's ``terms``/``merges``/
+    ``splits`` deltas, and adds the call to ``Collector.regions``.
+    Nested regions are all credited with the work inside them.
+    """
+    col = _active
+    if col is None:
+        return _NULL_SPAN
+    return _Region(col, name, "sym", "main", {})
+
+
 def count(name: str, n: int = 1) -> None:
     """Bump a counter in the active collector; no-op when disabled."""
     col = _active
@@ -484,21 +556,22 @@ class _Tracing:
     def __init__(self, absorb: bool = True, collector: Collector | None = None):
         self._absorb = absorb
         self.collector = collector or Collector()
-        self._hook_token = None
 
     def __enter__(self) -> Collector:
         global _active
+        if not _stack:
+            _set_hooks(True)
         _stack.append(self.collector)
         _active = self.collector
-        self._hook_token = _install_term_hooks(self.collector)
         return self.collector
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         global _active
-        _remove_term_hooks(self._hook_token)
         _stack.pop()
         _active = _stack[-1] if _stack else None
-        if self._absorb and _active is not None:
+        if _active is None:
+            _set_hooks(False)
+        elif self._absorb:
             _active.absorb(self.collector.snapshot())
         return False
 
@@ -508,80 +581,41 @@ def tracing(absorb: bool = True, collector: Collector | None = None) -> _Tracing
     return _Tracing(absorb=absorb, collector=collector)
 
 
-class _MaybeTracing:
-    """``trace=`` knob semantics shared by the verifier entry points.
-
-    ``trace`` may be falsy (no-op), True (collect; caller reads the
-    collector), or a path string (collect and write a Chrome trace
-    there on exit).
-    """
-
-    def __init__(self, trace):
-        self._trace = trace
-        self._inner: _Tracing | None = None
-
-    def __enter__(self) -> Collector | None:
-        if not self._trace:
-            return None
-        self._inner = _Tracing(absorb=True)
-        return self._inner.__enter__()
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._inner is None:
-            return False
-        self._inner.__exit__(exc_type, exc, tb)
-        if isinstance(self._trace, str):
-            from .export import write_chrome_trace
-
-            write_chrome_trace(self._inner.collector, self._trace)
-        return False
-
-
-def maybe_tracing(trace) -> _MaybeTracing:
-    """Tracing gated on a ``trace`` knob (False | True | output path)."""
-    return _MaybeTracing(trace)
-
-
 # ---------------------------------------------------------------------------
-# Term/merge hook chaining (sym.terms / sym.merges counters)
+# Term/merge hooks (sym.terms / sym.merges counters)
+
+_Union = None  # repro.sym.merge.Union, bound when the hooks go in
 
 
-def _install_term_hooks(col: Collector):
-    """Chain counting hooks onto the term manager and merge hook.
+def _term_hook(term) -> None:
+    col = _active
+    if col is not None:
+        col.count("sym.terms")
+
+
+def _merge_hook(guard, a, b) -> None:
+    global _union_peak
+    col = _active
+    if col is None:
+        return
+    col.count("sym.merges")
+    for value in (a, b):
+        if isinstance(value, _Union) and len(value) > _union_peak:
+            _union_peak = len(value)
+
+
+def _set_hooks(on: bool) -> None:
+    """Install the one term/merge hook pair while any session is open,
+    and remove it when the last one closes.  Each hook counts into the
+    innermost collector only, so nested sessions count once.
 
     Imported lazily so ``repro.obs`` itself has no import-time
     dependency on the smt/sym layers (they import us).
     """
+    global _Union
     from ..smt.terms import manager
-    from ..sym.merge import get_merge_hook, set_merge_hook
+    from ..sym.merge import Union, set_merge_hook
 
-    old_term = manager.on_new_term
-    old_merge = get_merge_hook()
-
-    def term_hook(term):
-        col.counters["sym.terms"] = col.counters.get("sym.terms", 0) + 1
-        if old_term is not None:
-            old_term(term)
-
-    def merge_hook(guard, a, b):
-        col.counters["sym.merges"] = col.counters.get("sym.merges", 0) + 1
-        if old_merge is not None:
-            old_merge(guard, a, b)
-
-    manager.on_new_term = term_hook
-    set_merge_hook(merge_hook)
-    return (old_term, old_merge, term_hook, merge_hook)
-
-
-def _remove_term_hooks(token) -> None:
-    if token is None:
-        return
-    from ..smt.terms import manager
-    from ..sym.merge import get_merge_hook, set_merge_hook
-
-    old_term, old_merge, term_hook, merge_hook = token
-    # Only unwind if nobody chained on top of us in the meantime.
-    if manager.on_new_term is term_hook:
-        manager.on_new_term = old_term
-    if get_merge_hook() is merge_hook:
-        set_merge_hook(old_merge)
+    _Union = Union
+    manager.on_new_term = _term_hook if on else None
+    set_merge_hook(_merge_hook if on else None)

@@ -2,7 +2,7 @@
 
 Ranks proof obligations by wall time, totals them per VC family (the
 AF and RI refinement parts, memory-access and uniform-block checks,
-...), and ranks symbolic-profiler regions by the §3.2 bottleneck score
+...), and ranks symbolic-evaluation regions by the §3.2 bottleneck score
 — the profile-then-optimize loop the paper runs with SymPro, over the
 artifact a traced benchmark run persisted.
 
@@ -18,17 +18,17 @@ import json
 import re
 import sys
 
-__all__ = ["summarize", "family_table", "render_report", "main"]
+__all__ = ["summarize", "family_table", "render_regions", "render_report", "main"]
 
 
-def summarize(collector, profiler=None) -> dict:
-    """Condense a Collector (plus optional SymProfiler) into the
-    ``obs`` section persisted in benchmark artifacts.
+def summarize(collector) -> dict:
+    """Condense a Collector into the ``obs`` section persisted in
+    benchmark artifacts.
 
     Obligation rows come from the scheduler-category spans (one per
-    obligation, whichever process solved it); region rows come from the
-    profiler when one is supplied (it has both parent- and worker-side
-    regions merged), else from the collector's absorbed worker regions.
+    obligation, whichever process solved it); region rows come from
+    ``collector.regions`` (in-process regions plus absorbed worker
+    ones), ranked by the §3.2 bottleneck score.
     """
     obligations = []
     for event in collector.spans:
@@ -40,11 +40,9 @@ def summarize(collector, profiler=None) -> dict:
         obligations.append(row)
     obligations.sort(key=lambda r: r["wall_s"], reverse=True)
 
-    if profiler is not None:
-        regions = {name: stats.as_dict() for name, stats in profiler.regions.items()}
-    else:
-        regions = {name: dict(stats) for name, stats in collector.regions.items()}
-    region_rows = sorted(regions.values(), key=_region_score, reverse=True)
+    region_rows = sorted(
+        (dict(row) for row in collector.regions.values()), key=_region_score, reverse=True
+    )
 
     return {
         "counters": dict(sorted(collector.counters.items())),
@@ -92,17 +90,33 @@ def family_table(obligations: list) -> list[dict]:
 
 
 def _region_score(region: dict) -> float:
-    """§3.2 bottleneck score of an aggregated region row (delegates to
-    ``RegionStats`` so the weights live in exactly one place)."""
-    from ..sym.profiler import RegionStats
+    """§3.2 bottleneck score of a region row: splits and merges
+    dominate term churn."""
+    return (
+        region.get("terms", 0)
+        + 20.0 * region.get("merges", 0)
+        + 100.0 * region.get("splits", 0)
+        + 50.0 * region.get("max_union", 0)
+    )
 
-    return RegionStats(
-        name=region.get("name", "?"),
-        terms=region.get("terms", 0),
-        merges=region.get("merges", 0),
-        splits=region.get("splits", 0),
-        max_union=region.get("max_union", 0),
-    ).score
+
+def render_regions(regions: list, top: int = 15) -> str:
+    """The §3.2 region table, one row per region in the given order."""
+    if not regions:
+        return "  (none recorded)"
+    lines = [
+        f"{'region':<28} {'calls':>7} {'terms':>9} {'merges':>8} {'splits':>7} "
+        f"{'maxU':>5} {'incl(s)':>8} {'excl(s)':>8} {'score':>10}"
+    ]
+    for region in regions[:top]:
+        lines.append(
+            f"{region.get('name', '?')[:28]:<28} {region.get('calls', 0):>7} "
+            f"{region.get('terms', 0):>9} {region.get('merges', 0):>8} "
+            f"{region.get('splits', 0):>7} {region.get('max_union', 0):>5} "
+            f"{region.get('time_s', 0.0):>8.3f} {region.get('excl_s', 0.0):>8.3f} "
+            f"{_region_score(region):>10.0f}"
+        )
+    return "\n".join(lines)
 
 
 def _extract_obs(doc: dict) -> dict:
@@ -153,21 +167,7 @@ def render_report(doc: dict, top: int = 15) -> str:
 
     regions = obs.get("regions") or []
     lines.append(f"\n== regions by §3.2 bottleneck score (top {min(top, len(regions))}) ==")
-    if regions:
-        lines.append(
-            f"{'region':<28} {'calls':>7} {'terms':>9} {'merges':>8} {'splits':>7} "
-            f"{'maxU':>5} {'incl(s)':>8} {'excl(s)':>8} {'score':>10}"
-        )
-        for region in regions[:top]:
-            lines.append(
-                f"{region.get('name', '?')[:28]:<28} {region.get('calls', 0):>7} "
-                f"{region.get('terms', 0):>9} {region.get('merges', 0):>8} "
-                f"{region.get('splits', 0):>7} {region.get('max_union', 0):>5} "
-                f"{region.get('time_s', 0.0):>8.3f} {region.get('excl_s', 0.0):>8.3f} "
-                f"{_region_score(region):>10.0f}"
-            )
-    else:
-        lines.append("  (none recorded)")
+    lines.append(render_regions(regions, top))
 
     histograms = obs.get("histograms") or {}
     if histograms:

@@ -8,9 +8,10 @@ concrete, so decode work is done once.
 
 from __future__ import annotations
 
+from .. import obs
 from ..core.engine import Interpreter
 from ..core.image import Image
-from ..sym import SymBV, bug_on, bv_val, ite, region
+from ..sym import SymBV, bug_on, bv_val, ite
 from .cpu import CpuState
 from .decode import decode_validated
 from .insn import CSR_NAMES, Insn
@@ -44,7 +45,7 @@ class RiscvInterp(Interpreter):
         return (state.exited, state.trap)
 
     def fetch(self, state: CpuState) -> Insn:
-        with region("riscv.fetch"):
+        with obs.region("riscv.fetch"):
             pc = state.pc
             if not pc.is_concrete:
                 raise AssertionError("riscv fetch requires split-pc (concrete pc)")
@@ -61,7 +62,7 @@ class RiscvInterp(Interpreter):
     # -- execution ----------------------------------------------------------------
 
     def execute(self, state: CpuState, insn: Insn) -> None:
-        with region("riscv.execute"):
+        with obs.region("riscv.execute"):
             handler = getattr(self, f"_exec_{insn.name.replace('.', '_')}", None)
             if handler is None:
                 raise NotImplementedError(f"no semantics for {insn.name!r}")
@@ -281,14 +282,14 @@ class RiscvInterp(Interpreter):
     # Memory ------------------------------------------------------------------------
 
     def _load(self, s: CpuState, i: Insn, nbytes: int, signed: bool) -> None:
-        with region("riscv.load"):
+        with obs.region("riscv.load"):
             addr = s.reg(i.rs1) + i.imm
             value = s.mem.load(addr, nbytes)
             s.set_reg(i.rd, value.sext(s.xlen) if signed else value.zext(s.xlen))
             self._next(s)
 
     def _store(self, s: CpuState, i: Insn, nbytes: int) -> None:
-        with region("riscv.store"):
+        with obs.region("riscv.store"):
             addr = s.reg(i.rs1) + i.imm
             s.mem.store(addr, s.reg(i.rs2).trunc(nbytes * 8))
             self._next(s)

@@ -224,8 +224,8 @@ class BitBlaster:
     def _tracked(self, tid: int, label: str, blast, term: Term):
         """Run one node's blast, recording its *exclusive* variable
         ranges and clause emission (nested child blasts record their
-        own — the same resume-mark trick the symbolic profiler uses
-        for exclusive time)."""
+        own, so a parent's figures exclude its children's — the
+        exclusive accounting §3.2 regions keep for time)."""
         sat = self.sat
         stack = self._frames
         if stack:

@@ -155,8 +155,9 @@ class TermManager:
         self._table: dict[tuple, Term] = {}
         self._next_tid = 0
         self._fresh_counter = 0
-        # Hook for the symbolic profiler: called with each newly
-        # interned term.  ``None`` when profiling is off.
+        # Set by repro.obs while a tracing session is open: called with
+        # each newly interned term (the ``sym.terms`` counter that §3.2
+        # regions charge to themselves).  ``None`` when nobody traces.
         self.on_new_term: Callable[[Term], None] | None = None
 
     def intern(self, op: str, sort: Sort, args: tuple[Term, ...], payload=None) -> Term:

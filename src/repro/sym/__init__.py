@@ -2,13 +2,12 @@
 
 Provides symbolic values with Python operator overloading, guarded
 unions and state merging, an assertion store with path conditions,
-verify/solve queries with counterexamples, the symbolic profiler, and
-symbolic reflection.
+verify/solve queries with counterexamples, and symbolic reflection.
+The §3.2 symbolic profiler is ``repro.obs.region``.
 """
 
 from .context import Context, VC, assert_prop, bug_on, current, new_context, path_condition
 from .merge import Union, merge, merge_states
-from .profiler import SymProfiler, active_profiler, note_split, profile, region
 from .reflect import (
     concrete_leaves,
     destruct_ite,

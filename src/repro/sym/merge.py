@@ -15,19 +15,15 @@ from typing import Any
 
 from .value import SymBV, SymBool, sym_false
 
-# Set by the profiler / repro.obs when active; counts merge operations.
+# Set by repro.obs while a tracing session is open: counts merge
+# operations (``sym.merges``) and tracks the largest union merged
+# inside each §3.2 region.
 _merge_hook = None
 
 
 def set_merge_hook(hook) -> None:
     global _merge_hook
     _merge_hook = hook
-
-
-def get_merge_hook():
-    """The installed merge hook, so observers can chain rather than
-    clobber each other (profiler inside an obs tracing block)."""
-    return _merge_hook
 
 
 def merge(guard: SymBool, a: Any, b: Any) -> Any:

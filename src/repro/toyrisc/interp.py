@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import obs
 from ..core.engine import Interpreter
-from ..sym import SymBV, SymBool, Union, bug_on, bv_val, fresh_bv, ite, merge, region, sym_false
+from ..sym import SymBV, SymBool, Union, bug_on, bv_val, fresh_bv, ite, merge, sym_false
 
 __all__ = ["Insn", "ToyCpu", "ToyRISC", "sign_program", "REG_NAMES"]
 
@@ -128,7 +129,7 @@ class ToyRISC(Interpreter):
         return state.halted.is_concrete and state.halted.as_bool()
 
     def fetch(self, state: ToyCpu):
-        with region("toyrisc.fetch"):
+        with obs.region("toyrisc.fetch"):
             pc = state.pc
             # The behavior is undefined if pc is out of bounds
             # (Figure 4, lines 26-28).
@@ -140,7 +141,7 @@ class ToyRISC(Interpreter):
             return Union([(g, v) for g, v in alts])
 
     def execute(self, state: ToyCpu, insn) -> None:
-        with region("toyrisc.execute"):
+        with obs.region("toyrisc.execute"):
             if isinstance(insn, Union):
                 merged = insn.map(lambda single: self._exec_copy(state, single))
                 state.pc = merged.pc

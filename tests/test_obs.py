@@ -4,9 +4,11 @@ Covers the contracts the observability PR promises: span nesting and
 post-exit args attachment, bit-identical counters across seeded runs,
 worker->parent trace reassembly through the work-stealing scheduler,
 Chrome trace schema validity, the near-zero disabled fast path, SAT
-counter reset between solves, and profiler exclusive-time accounting.
+counter reset between solves, and §3.2 region accounting (exclusive
+time, worker reassembly, regions in every traced run).
 """
 
+import sys
 import time
 
 import pytest
@@ -17,8 +19,7 @@ from repro.smt import manager, mk_bv, mk_bvadd, mk_bvmul, mk_eq, mk_ult, mk_var
 from repro.smt.sat.solver import SatSolver
 from repro.smt.solver import Solver
 from repro.smt.sorts import bv_sort
-from repro.sym.merge import get_merge_hook
-from repro.sym.profiler import active_profiler, profile, region
+from repro.sym import fresh_bool, fresh_bv, merge
 
 BV8 = bv_sort(8)
 
@@ -93,15 +94,37 @@ class TestSpans:
         assert col.dropped_spans == 2
 
     def test_hooks_restored_after_tracing(self):
-        term_hook = manager.on_new_term
-        merge_hook = get_merge_hook()
+        # ``repro.sym.merge`` the attribute is the merge function.
+        merge_module = sys.modules["repro.sym.merge"]
+        assert manager.on_new_term is None and merge_module._merge_hook is None
         with obs.tracing():
-            assert manager.on_new_term is not term_hook
-        assert manager.on_new_term is term_hook
-        assert get_merge_hook() is merge_hook
+            with obs.tracing():
+                pass
+            # Still installed while the outer session is open.
+            assert manager.on_new_term is not None
+        assert manager.on_new_term is None
+        assert merge_module._merge_hook is None
+
+
+def _ten_vars_one_merge(prefix: str) -> None:
+    """12 terms: ten variables, the merge guard, and the merged ite."""
+    xs = [fresh_bv(f"{prefix}_{i}", 8) for i in range(10)]
+    merge(fresh_bool(f"{prefix}_c"), xs[0], xs[1])
 
 
 class TestCounters:
+    def test_nested_sessions_count_once(self):
+        """An inner session's terms reach the outer collector once,
+        through absorb, not also through a chained hook."""
+        with obs.tracing() as solo:
+            _ten_vars_one_merge("solo")
+        with obs.tracing() as outer:
+            with obs.tracing():
+                _ten_vars_one_merge("nested")
+        assert (solo.counters["sym.terms"], solo.counters["sym.merges"]) == (12, 1)
+        assert outer.counters["sym.terms"] == solo.counters["sym.terms"]
+        assert outer.counters["sym.merges"] == solo.counters["sym.merges"]
+
     def test_stack_counters_recorded(self):
         with obs.tracing() as col:
             _solve_some("ctrs")
@@ -144,7 +167,7 @@ class TestWorkerReassembly:
 
         obligations = _obligations("reasm", 6)
         try:
-            with obs.tracing() as col, profile() as prof:
+            with obs.tracing() as col:
                 results, stats = run_obligations(obligations, jobs=2)
         finally:
             shutdown_scheduler()
@@ -163,9 +186,8 @@ class TestWorkerReassembly:
         sat_spans = [e for e in col.spans if e.cat == "sat"]
         assert sat_spans and all(e.tid.startswith("worker-") for e in sat_spans)
         assert col.counters["solver.queries"] == len(obligations)
-        # These obligations enter no sym regions, so the reassembled
-        # profiler is empty — but the merge path must leave it usable.
-        assert prof.snapshot() == {}
+        # These obligations enter no sym regions.
+        assert col.regions == {}
 
     def test_sequential_trace_has_scheduler_layer(self):
         with obs.tracing() as col:
@@ -207,9 +229,9 @@ class TestExport:
     def test_report_renders(self):
         from repro.obs.report import render_report, summarize
 
-        with obs.tracing() as col, profile() as prof:
+        with obs.tracing() as col:
             run_obligations(_obligations("report", 2), jobs=1)
-        text = render_report({"obs": summarize(col, profiler=prof)})
+        text = render_report({"obs": summarize(col)})
         assert "obligations by wall time" in text
         assert "report[0]" in text
 
@@ -260,13 +282,16 @@ class TestExport:
 class TestDisabledOverhead:
     def test_disabled_fast_path_is_cheap(self):
         """The disabled guard is a global load + None test.  Generous
-        absolute bound so slow CI machines do not flake: 200k span+count
-        pairs well under a second (that is > 2.5us per pair)."""
+        absolute bound so slow CI machines do not flake: 200k
+        span+region+count triples well under a second (that is > 5us
+        per triple)."""
         assert not obs.enabled()
-        span, count = obs.span, obs.count
+        span, region, count = obs.span, obs.region, obs.count
         start = time.perf_counter()
         for _ in range(200_000):
             with span("hot", cat="sat"):
+                pass
+            with region("hot"):
                 pass
             count("hot.counter")
         elapsed = time.perf_counter() - start
@@ -317,53 +342,93 @@ class TestSatCounterReset:
 
 
 class TestProfilerIntegration:
+    """§3.2 regions recorded by ``obs.region`` into ``Collector.regions``."""
+
     def test_exclusive_time(self):
-        with profile() as prof:
-            with region("parent"):
+        with obs.tracing() as col:
+            with obs.region("parent"):
                 time.sleep(0.02)
-                with region("child"):
+                with obs.region("child"):
                     time.sleep(0.02)
-        parent = prof.regions["parent"]
-        child = prof.regions["child"]
-        assert parent.time_s >= parent.excl_s
-        assert parent.time_s >= 0.035
-        assert parent.excl_s < parent.time_s - 0.01  # child time excluded
-        assert abs(child.excl_s - child.time_s) < 1e-6  # leaf: excl == incl
+        parent = col.regions["parent"]
+        child = col.regions["child"]
+        assert parent["time_s"] >= parent["excl_s"]
+        assert parent["time_s"] >= 0.035
+        assert parent["excl_s"] < parent["time_s"] - 0.01  # child time excluded
+        assert abs(child["excl_s"] - child["time_s"]) < 1e-6  # leaf: excl == incl
 
     def test_regions_emit_sym_spans(self):
-        with obs.tracing() as col, profile():
-            with region("spanned"):
+        with obs.tracing() as col:
+            with obs.region("spanned"):
                 mk_var("profspan_x", BV8)
         spans = [e for e in col.spans if e.cat == "sym" and e.name == "spanned"]
         assert len(spans) == 1
         assert spans[0].args["terms"] >= 1
 
     def test_region_obs_only_without_profiler(self):
-        assert active_profiler() is None
+        """A region needs nothing but a tracing session: it lands in
+        both the span list and the region table."""
         with obs.tracing() as col:
-            with region("unprofiled") as stats:
-                assert stats is None
+            with obs.region("unprofiled") as args:
+                assert args == {}
         assert [e.name for e in col.spans if e.cat == "sym"] == ["unprofiled"]
+        assert col.regions["unprofiled"]["calls"] == 1
 
     def test_profile_chains_obs_hooks(self):
-        """A profiler inside a tracing session feeds both: its own
-        regions and the session's sym.* counters."""
+        """One hook pair feeds the session's sym.* counters and the
+        regions' deltas of them."""
         with obs.tracing() as col:
-            with profile() as prof:
-                with region("both"):
-                    mk_var("chain_x", BV8)
-        assert prof.regions["both"].terms >= 1
-        assert col.counters["sym.terms"] >= 1
+            with obs.region("both"):
+                mk_var("chain_x", BV8)
+        assert col.regions["both"]["terms"] == 1
+        assert col.counters["sym.terms"] == 1
 
     def test_merge_from_roundtrip(self):
-        with profile() as prof:
-            with region("r"):
+        """Absorbing a snapshot twice doubles calls and terms and keeps
+        the max of max_union."""
+        with obs.tracing(absorb=False) as col:
+            with obs.region("r"):
                 mk_var("mergefrom_x", BV8)
-        snap = prof.snapshot()
-        with profile() as other:
-            other.merge_from(snap)
-            other.merge_from(snap)
+                merge(fresh_bool("mergefrom_c"), merge(fresh_bool("mergefrom_d"), "a", "b"), "c")
+        snap = col.snapshot()
+        other = obs.Collector()
+        other.absorb(snap)
+        other.absorb(snap)
         r = other.regions["r"]
-        assert r.calls == 2 * prof.regions["r"].calls
-        assert r.terms == 2 * prof.regions["r"].terms
-        assert r.max_union == prof.regions["r"].max_union
+        assert r["calls"] == 2 * col.regions["r"]["calls"]
+        assert r["terms"] == 2 * col.regions["r"]["terms"]
+        assert r["max_union"] == col.regions["r"]["max_union"] == 2
+
+
+def _traced_regions(run, jobs: int) -> dict:
+    from repro.core.scheduler import shutdown_scheduler
+
+    try:
+        with obs.tracing() as col:
+            assert run(jobs).proved
+    finally:
+        shutdown_scheduler()
+    return {row["name"]: row for row in obs.summarize(col)["regions"]}
+
+
+class TestRegionsInTracedRuns:
+    """A traced run reports its regions with no other switch: the
+    interpreter runs in-process, its obligations in workers at jobs=2."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_toyrisc(self, jobs):
+        from repro.toyrisc.spec import sign_refinement
+
+        regions = _traced_regions(lambda j: sign_refinement(32).prove(jobs=j), jobs)
+        assert regions["engine.step"]["calls"] > 0
+        assert regions["toyrisc.fetch"]["calls"] > 0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_certikos_get_quota(self, jobs):
+        from repro.certikos import CertikosVerifier
+
+        regions = _traced_regions(
+            lambda j: CertikosVerifier(jobs=j).prove_op("get_quota"), jobs
+        )
+        assert regions["engine.step"]["calls"] > 0
+        assert regions["riscv.fetch"]["calls"] > 0
