@@ -5,8 +5,7 @@ Usage: check_bench.py CURRENT.json BASELINE.json
            [--max-wall-regression 0.25] [--max-prop-growth 0.10]
        check_bench.py --serve BENCH_serve.json BENCH_serve_baseline.json
            [--max-throughput-drop 0.25] [--min-speedup 2.0]
-       check_bench.py --certs BENCH_with_certs.json BENCH_no_certs.json
-           [--max-cert-overhead 0.10]
+       check_bench.py --certs BENCH_fig11.json [--max-cert-overhead 0.10]
        check_bench.py --remote BENCH_remote.json [--min-hit-rate 0.9]
 
 Default mode fails (nonzero exit) when the current quick-grid artifact
@@ -19,9 +18,10 @@ regresses past the committed ``BENCH_baseline.json``:
     above the baseline's — propagation counts are deterministic per
     query set, so this threshold can be much tighter than wall time.
 
-Both artifacts must carry an ``obs.counters`` section (run the
-benchmark with ``--trace``); a missing section is a hard failure so a
-silently untraced run can never pass the gate.
+Both artifacts must carry a positive ``wall_s`` and an ``obs.counters``
+section (the ``BENCH_fig11.json`` a ``--trace`` run writes); a missing
+field is a hard failure (exit 3), so an untraced run or the wrong
+artifact can never pass the gate.
 
 ``--serve`` mode gates the daemon load artifact written by
 ``scripts/load_serve.py``:
@@ -32,13 +32,13 @@ silently untraced run can never pass the gate.
   * the warm/cold speedup must stay above ``--min-speedup`` (default
     2.0) — the shared-cache contract, machine-independent.
 
-``--certs`` mode gates proof-certificate emission cost: the first
-artifact is a cold quick-grid run with certificates on, the second the
-same grid with ``REPRO_NO_CERTS=1``.  Wall time with certificates must
-stay within ``--max-cert-overhead`` (default 10%) of the cert-less
-run, so "every verdict ships a checkable proof" never becomes a tax
-anyone is tempted to switch off (the escape hatch exists regardless:
-``REPRO_NO_CERTS=1``, documented in docs/CERTIFICATES.md).
+``--certs`` mode gates proof-certificate emission cost on one traced
+cold grid artifact: it must have emitted certificates
+(``solver.certs > 0``), and the emission seconds the solver accumulates
+(``solver.cert_build_s``) must stay within ``--max-cert-overhead``
+(default 10%) of the run's ``wall_s``, so "every verdict ships a
+checkable proof" stays cheap.  A missing ``wall_s`` is a hard failure
+(exit 3).
 
 ``--remote`` mode gates the two-process shared-store artifact written
 by ``scripts/load_serve.py --remote`` — no committed baseline, the
@@ -110,49 +110,41 @@ def check_serve(current: dict, baseline: dict, args) -> int:
     return 0
 
 
-def check_certs(current: dict, baseline: dict, args) -> int:
-    """Gate certificate-emission overhead: ``current`` ran with certs
-    on, ``baseline`` is the same grid with ``REPRO_NO_CERTS=1``."""
-    cur_wall = current.get("wall_s")
-    base_wall = baseline.get("wall_s")
-    for name, wall, path in (
-        ("with-certs", cur_wall, args.current),
-        ("no-certs", base_wall, args.baseline),
-    ):
-        if not isinstance(wall, (int, float)) or wall <= 0:
-            print(
-                f"FAIL: {name} artifact {path} has no positive wall_s — "
-                "generate both artifacts with bench_fig11_verify.py --quick",
-                file=sys.stderr,
-            )
-            return 3
-    counters = ((current.get("obs") or {}).get("counters") or {})
+def _wall_s(doc: dict, name: str, path: str) -> float | None:
+    """The artifact's positive ``wall_s``, or None after reporting it
+    missing."""
+    wall = doc.get("wall_s")
+    if isinstance(wall, (int, float)) and wall > 0:
+        return wall
+    print(
+        f"FAIL: {name} artifact {path} has no positive wall_s — gate the "
+        "BENCH_fig11.json written by bench_fig11_verify.py --trace",
+        file=sys.stderr,
+    )
+    return None
+
+
+def check_certs(current: dict, args) -> int:
+    """Gate certificate-emission overhead within one certified run."""
+    wall = _wall_s(current, "current", args.current)
+    if wall is None:
+        return 3
+    counters = (current.get("obs") or {}).get("counters") or {}
     certs = counters.get("solver.certs", 0)
     if not certs:
         print(
-            "FAIL: with-certs run emitted no certificates — the overhead "
-            "gate would be vacuous (was REPRO_NO_CERTS set, or --cache missing?)",
+            "FAIL: the run emitted no certificates — the overhead gate "
+            "would be vacuous (was --cache or --trace missing?)",
             file=sys.stderr,
         )
         return 1
-    cert_s = counters.get("solver.cert_build_s")
-    if isinstance(cert_s, (int, float)) and cert_s >= 0:
-        # Preferred: the solver accumulates actual emission seconds in a
-        # counter, so the ratio is measured within one run instead of
-        # differencing two walls (which flakes on noisy CI machines —
-        # quick-grid walls vary more than the 10% being gated).
-        overhead = cert_s / cur_wall
-        print(
-            f"cert overhead: {cert_s * 1000:.0f}ms emitting {certs} certificates "
-            f"in a {cur_wall:.2f}s run = {overhead:.1%} of wall "
-            f"(cap {args.max_cert_overhead:.0%}; no-certs wall {base_wall:.2f}s)"
-        )
-    else:
-        overhead = cur_wall / base_wall - 1.0
-        print(
-            f"cert overhead: {cur_wall:.2f}s with certs ({certs} emitted) vs "
-            f"{base_wall:.2f}s without = {overhead:+.1%} (cap {args.max_cert_overhead:.0%})"
-        )
+    cert_s = counters.get("solver.cert_build_s", 0.0)
+    overhead = cert_s / wall
+    print(
+        f"cert overhead: {cert_s * 1000:.0f}ms emitting {certs} certificates "
+        f"in a {wall:.2f}s run = {overhead:.1%} of wall "
+        f"(cap {args.max_cert_overhead:.0%})"
+    )
     if overhead > args.max_cert_overhead:
         print(
             f"FAIL: certificate emission costs {overhead:.1%} wall, above the "
@@ -236,7 +228,7 @@ def main() -> int:
     parser.add_argument(
         "baseline",
         nargs="?",
-        help="committed BENCH_baseline.json (not used by --remote)",
+        help="committed BENCH_baseline.json (not used by --certs or --remote)",
     )
     parser.add_argument("--max-wall-regression", type=float, default=0.25)
     parser.add_argument("--max-prop-growth", type=float, default=0.10)
@@ -250,8 +242,8 @@ def main() -> int:
     parser.add_argument(
         "--certs",
         action="store_true",
-        help="gate certificate-emission overhead: CURRENT ran with certs, "
-        "BASELINE with REPRO_NO_CERTS=1",
+        help="gate certificate-emission overhead within CURRENT "
+        "(no baseline argument)",
     )
     parser.add_argument("--max-cert-overhead", type=float, default=0.10)
     parser.add_argument(
@@ -266,15 +258,15 @@ def main() -> int:
     current = _load(args.current)
     if args.remote:
         return check_remote(current, args)
+    if args.certs:
+        return check_certs(current, args)
 
     if args.baseline is None:
-        parser.error("baseline artifact is required outside --remote mode")
+        parser.error("baseline artifact is required outside --certs and --remote modes")
     baseline = _load(args.baseline)
 
     if args.serve:
         return check_serve(current, baseline, args)
-    if args.certs:
-        return check_certs(current, baseline, args)
 
     failures = []
     for name, path, doc in (
@@ -289,11 +281,13 @@ def main() -> int:
                 file=sys.stderr,
             )
             return 3
+    cur_wall = _wall_s(current, "current", args.current)
+    base_wall = _wall_s(baseline, "baseline", args.baseline)
+    if cur_wall is None or base_wall is None:
+        return 3
 
-    cur_wall = current.get("wall_s", 0.0)
-    base_wall = baseline.get("wall_s", 0.0)
     wall_ceiling = base_wall * (1.0 + args.max_wall_regression)
-    if base_wall and cur_wall > wall_ceiling:
+    if cur_wall > wall_ceiling:
         failures.append(
             f"wall time regressed: {cur_wall:.2f}s > {wall_ceiling:.2f}s "
             f"(baseline {base_wall:.2f}s + {args.max_wall_regression:.0%})"
@@ -308,10 +302,7 @@ def main() -> int:
             f"(baseline {base_props} + {args.max_prop_growth:.0%})"
         )
 
-    print(
-        f"wall: {cur_wall:.2f}s vs baseline {base_wall:.2f}s "
-        f"({base_wall / cur_wall:.2f}x)" if cur_wall else "wall: n/a"
-    )
+    print(f"wall: {cur_wall:.2f}s vs baseline {base_wall:.2f}s ({base_wall / cur_wall:.2f}x)")
     if cur_props and base_props:
         print(
             f"sat.propagations: {cur_props} vs baseline {base_props} "

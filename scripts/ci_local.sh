@@ -68,6 +68,9 @@ run_job grid-cold python benchmarks/bench_fig11_verify.py \
     --trace --trace-out "$tmp/trace.json"
 run_job grid-perf-gate python scripts/check_bench.py \
     BENCH_fig11.json BENCH_baseline.json
+run_job grid-cert-audit python -m repro.smt.checkproof \
+    --store "$tmp/store-cold" --require-certs
+run_job grid-cert-gate python scripts/check_bench.py --certs BENCH_fig11.json
 run_job grid-trace-smoke python scripts/check_trace.py "$tmp/trace.json"
 run_job grid-profile-report python -m repro.obs.report BENCH_fig11.json
 run_job grid-profile-regions python -c "import json, sys;

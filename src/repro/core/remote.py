@@ -21,8 +21,8 @@ tar.gz archives around:
     solver cache actually talks to.  A local hit stays untouched; a
     local miss consults the remote, verifies the fetched certificate
     with the independent ``repro.smt.checkproof`` checker *before*
-    adoption (``REPRO_REMOTE_VERIFY_CERTS=0`` skips), and adopts the
-    entry into the local store so the next process hits locally.
+    adoption, and adopts the entry into the local store so the next
+    process hits locally.
     Writes land locally first, then spool (``.remote-spool/`` marker
     files) and flush asynchronously with bounded retry/backoff.
 
@@ -44,11 +44,9 @@ dead server costs one timeout, not one per query.
 
 Knobs (read per call so tests can flip them):
 
-  * ``REPRO_REMOTE_STORE``        — base URL; empty disables the tier.
-  * ``REPRO_REMOTE_VERIFY_CERTS`` — ``0`` adopts fetched entries
-    without certificate verification (trusted-network mode).
-  * ``REPRO_REMOTE_TIMEOUT_S``    — per-request timeout (default 5).
-  * ``REPRO_REMOTE_BACKOFF_S``    — circuit-breaker cool-down after a
+  * ``REPRO_REMOTE_STORE``     — base URL; empty disables the tier.
+  * ``REPRO_REMOTE_TIMEOUT_S`` — per-request timeout (default 5).
+  * ``REPRO_REMOTE_BACKOFF_S`` — circuit-breaker cool-down after a
     network failure (default 30).
 """
 
@@ -79,7 +77,6 @@ __all__ = [
     "StoreServer",
     "breaker_open",
     "remote_store_url",
-    "remote_verify_certs",
     "remote_timeout_s",
     "remote_backoff_s",
 ]
@@ -92,12 +89,6 @@ __all__ = [
 def remote_store_url() -> str:
     """Base URL of the remote store (``REPRO_REMOTE_STORE``), or ''."""
     return os.environ.get("REPRO_REMOTE_STORE", "").strip().rstrip("/")
-
-
-def remote_verify_certs() -> bool:
-    """Whether fetched entries need a checkable certificate to be
-    adopted (default on; ``REPRO_REMOTE_VERIFY_CERTS=0`` opts out)."""
-    return os.environ.get("REPRO_REMOTE_VERIFY_CERTS", "1") != "0"
 
 
 def remote_timeout_s() -> float:
@@ -237,7 +228,7 @@ class RemoteStoreClient:
 
     def get_cert(self, digest: str) -> bytes | None:
         """Raw certificate JSON for ``digest``, or None if the remote
-        has none (a legal legacy state)."""
+        has none (an entry without one is never adopted)."""
         status, payload = self._request("GET", f"/store/{digest}/cert")
         return payload if status == 200 else None
 
@@ -717,7 +708,6 @@ class RemoteVerdictStore(VerdictStore):
         self,
         path: str,
         url: str | None = None,
-        verify_certs: bool | None = None,
         timeout_s: float | None = None,
         client: RemoteStoreClient | None = None,
         async_flush: bool = True,
@@ -725,7 +715,6 @@ class RemoteVerdictStore(VerdictStore):
     ):
         super().__init__(path)
         self.remote_url = (url if url is not None else remote_store_url()).rstrip("/")
-        self._verify_certs = verify_certs
         self.async_flush = async_flush
         self._register = _register
         if client is not None:
@@ -734,13 +723,6 @@ class RemoteVerdictStore(VerdictStore):
             self.client = RemoteStoreClient(self.remote_url, timeout_s)
         else:
             self.client = None
-
-    def verify_certs_enabled(self) -> bool:
-        """Whether adoption requires a checkable certificate (ctor
-        override first, else ``REPRO_REMOTE_VERIFY_CERTS``)."""
-        if self._verify_certs is not None:
-            return self._verify_certs
-        return remote_verify_certs()
 
     # -- read-through ----------------------------------------------------
 
@@ -795,17 +777,15 @@ class RemoteVerdictStore(VerdictStore):
                 cert = None
             if not isinstance(cert, dict):
                 cert = None
-        if self.verify_certs_enabled():
-            if cert is not None and cert.get("kind") == "conj" and entry["status"] == "unsat":
-                return self._adopt_composite(digest, raw, cert_raw, cert)
-            if cert is None or not _cert_matches(digest, entry, cert):
-                # Unverifiable evidence: treat as a miss, solve locally.
-                obs_count("store.remote.rejected_certs")
-                return None
+        if cert is not None and cert.get("kind") == "conj" and entry["status"] == "unsat":
+            return self._adopt_composite(digest, raw, cert_raw, cert)
+        if cert is None or not _cert_matches(digest, entry, cert):
+            # Unverifiable evidence: treat as a miss, solve locally.
+            obs_count("store.remote.rejected_certs")
+            return None
         _mark_remote_up(self.remote_url)
         self.put_raw_entry(digest, raw)
-        if cert is not None:
-            self.put_raw_cert(digest, cert_raw)
+        self.put_raw_cert(digest, cert_raw)
         obs_count("store.remote.hits")
         return entry
 

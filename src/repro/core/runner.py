@@ -17,9 +17,10 @@ This module makes those units explicit:
   * :func:`run_obligations` — dispatches obligations across worker
     processes via ``multiprocessing`` and reduces results
     deterministically (input order, first failure wins);
-  * the persistent cache (``repro.smt.SolverCache``) keyed by the
-    canonical hash-consed DAG digest, so alpha-equivalent queries hit
-    across runs and across worker processes.
+  * the persistent verdict store (``repro.core.store.VerdictStore``)
+    keyed by the canonical hash-consed DAG digest, so alpha-equivalent
+    queries hit across runs and across worker processes, every stored
+    verdict with its proof certificate.
 
 Everything above the solver boundary (``repro.sym.check_batch``,
 ``Refinement.prove(jobs=...)``, the verifiers' ``jobs``/``cache_dir``
@@ -57,7 +58,7 @@ from ..smt import (
     serialize_terms,
 )
 from ..smt.proof import build_conj_certificate
-from ..smt.solver import UNSAT, CheckResult, Solver, certs_enabled
+from ..smt.solver import UNSAT, CheckResult, Solver
 
 __all__ = [
     "Obligation",
@@ -302,9 +303,8 @@ def _check_obligation(
     goals = roots[: obligation.num_goals]
     assumptions = roots[obligation.num_goals:]
     if cache_dir:
-        # Sharded content-addressed store; reads legacy flat caches too,
-        # and grows a remote read-through/write-back tier when
-        # REPRO_REMOTE_STORE points at a store server.
+        # Sharded content-addressed store; grows a remote read-through/
+        # write-back tier when REPRO_REMOTE_STORE points at a store server.
         from .store import open_store
 
         cache = open_store(cache_dir)
@@ -321,7 +321,7 @@ def _check_obligation(
             stats["cached"] = cache is not None
             stats["split"] = {
                 "conjuncts": conjuncts,
-                "query": solver.certificate_query() if certs_enabled() else None,
+                "query": solver.certificate_query(),
             }
             return ObligationResult(obligation.name, SPLIT, stats=stats)
         if result is None:
@@ -413,11 +413,10 @@ def _store_composite(
 
     store = open_store(cache_dir)
     query = marker.stats["split"]["query"]
-    if query is not None:
-        emit_start = time.process_time()
-        store.store_certificate(digest, build_conj_certificate(digest, query, part_digests))
-        _obs_count("solver.certs")
-        _obs_count("solver.cert_build_s", time.process_time() - emit_start)
+    emit_start = time.process_time()
+    store.store_certificate(digest, build_conj_certificate(digest, query, part_digests))
+    _obs_count("solver.certs")
+    _obs_count("solver.cert_build_s", time.process_time() - emit_start)
     store.store(digest, {}, CheckResult(UNSAT))
 
 

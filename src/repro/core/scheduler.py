@@ -233,7 +233,13 @@ def _worker_main(wid: int, inbox, outbox) -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     os.environ[_WORKER_ENV] = "1"
+    from ..obs.collector import reset_after_fork
     from ..obs.events import trace_context
+
+    # A worker forked inside the parent's tracing session must not keep
+    # counting into that session's (now orphaned) collector: only tasks
+    # whose message asks for tracing are traced.
+    reset_after_fork()
 
     while True:
         msg = inbox.get()
@@ -412,10 +418,13 @@ class ObligationScheduler:
             specs, retries, trace, job=job, on_result=on_result, trace_id=trace_id
         )
 
-    def submit_calls(self, fn, items, retries: int = 0, trace: bool = False) -> _Ticket:
-        """Queue generic ``fn(item)`` tasks (the JIT-sweep shape)."""
+    def submit_calls(self, fn, items, retries: int = 0) -> _Ticket:
+        """Queue generic ``fn(item)`` tasks (the JIT-sweep shape),
+        traced when the caller is."""
+        from ..obs import enabled
+
         specs = [("call", (fn, item), f"{getattr(fn, '__name__', 'call')}[{i}]") for i, item in enumerate(items)]
-        return self._submit(specs, retries, trace)
+        return self._submit(specs, retries, enabled())
 
     def _submit(
         self, specs, retries: int, trace: bool = False, job=None, on_result=None, trace_id=None
@@ -668,16 +677,6 @@ class ObligationScheduler:
 
     # -- high-level entry points ----------------------------------------
 
-    @staticmethod
-    def _want_trace(trace: bool | None) -> bool:
-        """Default the ``trace`` knob to "the caller is observing":
-        an obs tracing session is active."""
-        if trace is not None:
-            return trace
-        from ..obs import enabled
-
-        return enabled()
-
     def _collect_trace(self, ticket: _Ticket) -> None:
         """Reassemble worker envelopes into the caller's collector, and
         lay down one ``scheduler``-category span per task (its solving
@@ -723,29 +722,30 @@ class ObligationScheduler:
         timeout_s: float | None = None,
         retries: int = 1,
         jobs_hint: int | None = None,
-        trace: bool | None = None,
         split: bool = False,
     ) -> tuple[list[ObligationResult], SchedulerStats]:
         """Submit, wait, and reduce — the ``run_obligations`` shape.
 
         ``jobs_hint`` is what the caller asked for; it is reported as
         ``stats.jobs`` for compatibility with PR 2 consumers even though
-        the whole pool participates.
+        the whole pool participates.  Workers trace their tasks when
+        the caller is tracing (an obs session is active).
         """
+        from ..obs import enabled
+
         start = time.perf_counter()
-        trace = self._want_trace(trace)
         ticket = self.submit_obligations(
             obligations,
             cache_dir=cache_dir,
             max_conflicts=max_conflicts,
             timeout_s=timeout_s,
             retries=retries,
-            trace=trace,
+            trace=enabled(),
             split=split,
         )
         results = ticket.wait()
         wall = time.perf_counter() - start
-        if trace:
+        if ticket.trace:
             self._collect_trace(ticket)
         workers = len(self._workers)
         stats = SchedulerStats(
@@ -764,16 +764,15 @@ class ObligationScheduler:
         )
         return results, stats
 
-    def map(self, fn, items, trace: bool | None = None) -> list:
+    def map(self, fn, items) -> list:
         """Order-preserving parallel map over the shared pool.
 
         Raises ``RuntimeError`` if ``fn`` raised in a worker (after the
         worker-death retry budget), mirroring ``Pool.map``.
         """
-        trace = self._want_trace(trace)
-        ticket = self.submit_calls(fn, list(items), trace=trace)
+        ticket = self.submit_calls(fn, list(items))
         results = ticket.wait()
-        if trace:
+        if ticket.trace:
             self._collect_trace(ticket)
         for result in results:
             if isinstance(result, _CallError):

@@ -1,12 +1,11 @@
 """Content-addressed verdict store shared across runs and machines.
 
-The persistent solver cache of PR 2 (``repro.smt.SolverCache``) memoizes
-check-sat verdicts one-file-per-digest in a flat directory.  This module
-grows it into a *shareable artifact*: a sharded, content-addressed store
-(``<digest[:2]>/<digest>.json``) with an index file, portable
-export/import archives, and garbage collection — the "remote/shared
-solver cache" the ROADMAP calls for, in the shape *Divide, Conquer and
-Verify* uses to memoize verified slices.
+:class:`VerdictStore` is the solver's persistent memo of check-sat
+verdicts and the one place they live: a sharded, content-addressed
+store (``<digest[:2]>/<digest>.json``, each verdict next to its proof
+certificate) with an index file, portable export/import archives, and
+garbage collection — the shape *Divide, Conquer and Verify* uses to
+memoize verified slices.
 
 Because entries are keyed by the alpha-blind canonical digest of the
 query DAG (``repro.smt.terms.canonicalize_query``), two machines that
@@ -49,6 +48,7 @@ import re
 import sys
 import tarfile
 import tempfile
+import threading
 import time
 
 try:
@@ -56,7 +56,8 @@ try:
 except ImportError:  # non-POSIX: imports proceed unguarded
     fcntl = None
 
-from ..smt.solver import SolverCache
+from ..smt.model import Model
+from ..smt.solver import SAT, UNSAT, CheckResult
 
 __all__ = [
     "StoreLockedError",
@@ -96,73 +97,184 @@ def _stat_or_none(fname: str):
         return None
 
 
-class VerdictStore(SolverCache):
-    """A sharded, exportable :class:`~repro.smt.solver.SolverCache`.
+def _atomic_write(target: str, data: bytes) -> bool:
+    """Write ``data`` to ``target`` via a rename, so readers never see
+    a torn file.  The temporary name is unique per process and thread;
+    the directory is created only when the first open finds it missing
+    (emission sits on the solve path).  False if the write failed."""
+    tmp = f"{target}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        try:
+            handle = open(tmp, "wb")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(target), exist_ok=True)
+            handle = open(tmp, "wb")
+        with handle:
+            handle.write(data)
+        os.replace(tmp, target)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        return False
+    return True
 
-    Layout: ``<path>/<digest[:2]>/<digest>.json`` (two-level sharding
-    keeps directory sizes bounded at fleet scale); legacy flat entries
-    written by PR 2 caches are still readable, so pointing a scheduler
-    at an old cache directory keeps its verdicts.
 
-    The drop-in compatibility is deliberate: ``Solver`` talks to the
-    store through the ``lookup``/``store`` interface it already uses for
-    ``SolverCache``, so every layer above the solver gains sharing for
-    free.
+class VerdictStore:
+    """Persistent memo of solver verdicts, keyed by canonical digest.
+
+    Layout: ``<path>/<digest[:2]>/<digest>.json`` with the certificate
+    beside it as ``<digest>.cert.json`` (``.gz`` past
+    :attr:`CERT_GZIP_THRESHOLD`); two-level sharding keeps directory
+    sizes bounded at fleet scale.  Every write is atomic (tempfile +
+    rename), so concurrent worker processes share a store without
+    locking: the worst race is two workers solving the same query and
+    storing identical entries.
+
+    Models are stored under canonical variable names (the alpha
+    renaming from ``canonicalize_query``) and remapped to the hitting
+    query's own variable names on load — this is what makes
+    alpha-equivalent queries share counterexamples, not just verdicts.
+    ``unknown`` verdicts are budget-dependent and are never stored.
     """
+
+    # Certificates above this size gzip to a fraction of it; below it
+    # the gzip header overhead is not worth a second file format.
+    CERT_GZIP_THRESHOLD = 32768
+
+    def __init__(self, path: str):
+        self.path = path
+        os.makedirs(path, exist_ok=True)
+        self.hits = 0
+        self.misses = 0
+        self.stores = 0
 
     def _entry_path(self, digest: str) -> str:
         return os.path.join(self.path, digest[:2], f"{digest}.json")
 
-    def _legacy_path(self, digest: str) -> str:
-        return os.path.join(self.path, f"{digest}.json")
-
     def _cert_path(self, digest: str) -> str:
-        # Certificates shard alongside their entries.
+        """Base certificate path (without the optional ``.gz``)."""
         return os.path.join(self.path, digest[:2], f"{digest}.cert.json")
 
+    def _find_entry_file(self, digest: str) -> str | None:
+        path = self._entry_path(digest)
+        return path if os.path.exists(path) else None
+
     def _find_cert_file(self, digest: str) -> str | None:
-        """On-disk certificate for ``digest`` (sharded or legacy flat,
-        plain or gzipped), or None."""
-        sharded = self._cert_path(digest)
-        flat = os.path.join(self.path, f"{digest}.cert.json")
-        for candidate in (sharded, sharded + ".gz", flat, flat + ".gz"):
+        """On-disk certificate for ``digest`` (plain or gzipped), or None."""
+        base = self._cert_path(digest)
+        for candidate in (base, base + ".gz"):
             if os.path.exists(candidate):
                 return candidate
         return None
 
-    def load_certificate(self, digest: str) -> dict | None:
-        cert = super().load_certificate(digest)
-        if cert is not None:
-            return cert
-        # Flat-layout certificates (written by a plain SolverCache
-        # pointed at this directory before it became a store).
-        fname = self._find_cert_file(digest)
-        if fname is None:
+    # -- verdicts and certificates (the Solver's interface) --------------
+
+    def lookup(self, digest: str, var_map: dict[str, str]) -> CheckResult | None:
+        """Return the stored result for ``digest``, or None on a miss."""
+        entry = self._read_entry(digest)
+        if entry is None:
+            self.misses += 1
             return None
-        try:
-            with open(fname, "rb") as handle:
-                raw = handle.read()
-            if fname.endswith(".gz"):
-                raw = gzip.decompress(raw)
-            return json.loads(raw.decode())
-        except (OSError, ValueError):
-            return None
+        self.hits += 1
+        return self._entry_to_result(entry, var_map)
 
     def _read_entry(self, digest: str) -> dict | None:
-        entry = super()._read_entry(digest)
-        if entry is not None:
-            return entry
-        # Fall back to the flat PR 2 layout for pre-sharding caches.
+        """Load the raw JSON entry for ``digest``, or None if absent or
+        corrupt (a torn write loses one memo, never a verdict)."""
         try:
-            with open(self._legacy_path(digest)) as handle:
+            with open(self._entry_path(digest)) as handle:
                 return json.load(handle)
         except (OSError, ValueError):
             return None
 
+    @staticmethod
+    def _entry_to_result(entry: dict, var_map: dict[str, str]) -> CheckResult:
+        """Materialize a stored entry as a :class:`CheckResult` for the
+        hitting query: models come back from canonical variable names to
+        the query's own names via ``var_map``.  Shared with the remote
+        read-through tier, which adopts entries from other machines and
+        must replay them identically."""
+        stats = {"cache_hit": True, "time_s": 0.0}
+        if entry["status"] == SAT:
+            canon_to_name = {canon: name for name, canon in var_map.items()}
+            values = {
+                canon_to_name[canon]: value
+                for canon, value in entry["model"].items()
+                if canon in canon_to_name
+            }
+            return CheckResult(SAT, Model(values), stats=stats)
+        return CheckResult(UNSAT, stats=stats)
+
+    def store(self, digest: str, var_map: dict[str, str], result: CheckResult) -> None:
+        """Persist a sat/unsat verdict (models under canonical names)."""
+        if result.status not in (SAT, UNSAT):
+            return
+        entry: dict = {"status": result.status}
+        if result.status == SAT:
+            entry["model"] = {
+                var_map[name]: value
+                for name, value in result.model.items()
+                if name in var_map
+            }
+        if not _atomic_write(self._entry_path(digest), json.dumps(entry).encode()):
+            return
+        self.stores += 1
+
+    def store_certificate(self, digest: str, cert: dict | bytes) -> bool:
+        """Persist a certificate (a document, or its JSON encoding)
+        next to its verdict entry (atomic write; large documents are
+        gzipped).  False if the write failed."""
+        data = json.dumps(cert, separators=(",", ":")).encode() if isinstance(cert, dict) else cert
+        base = self._cert_path(digest)
+        target, stale = base, base + ".gz"
+        if len(data) >= self.CERT_GZIP_THRESHOLD:
+            # Level 1: these documents are short-lived store siblings,
+            # and emission sits on the solve path — speed over ratio.
+            data = gzip.compress(data, 1)
+            target, stale = base + ".gz", base
+        if not _atomic_write(target, data):
+            return False
+        # Two runs of the same digest may disagree on compression (the
+        # certificate depends on session history); never leave both.
+        try:
+            os.unlink(stale)
+        except OSError:
+            pass
+        return True
+
+    def load_certificate(self, digest: str) -> dict | None:
+        """The stored certificate for ``digest``, or None (absent or
+        corrupt; ``checkproof --require-certs`` reports such entries)."""
+        base = self._cert_path(digest)
+        try:
+            with open(base, "rb") as handle:
+                return json.loads(handle.read().decode())
+        except (OSError, ValueError):
+            pass
+        try:
+            with open(base + ".gz", "rb") as handle:
+                return json.loads(gzip.decompress(handle.read()).decode())
+        except (OSError, ValueError):
+            return None
+
+    def clear(self) -> None:
+        """Delete every entry and certificate (the index and spool stay)."""
+        for name in os.listdir(self.path):
+            full = os.path.join(self.path, name)
+            if os.path.isdir(full) and len(name) == 2:
+                for sub in os.listdir(full):
+                    if sub.endswith((".json", ".json.gz")):
+                        try:
+                            os.unlink(os.path.join(full, sub))
+                        except OSError:
+                            pass
+
     # -- enumeration ----------------------------------------------------
 
     def digests(self) -> list[str]:
-        """Every digest present (sharded and legacy flat), sorted."""
+        """Every digest present, sorted."""
         found: set[str] = set()
         try:
             names = os.listdir(self.path)
@@ -170,26 +282,17 @@ class VerdictStore(SolverCache):
             return []
         for name in names:
             full = os.path.join(self.path, name)
-            if os.path.isdir(full) and len(name) == 2:
-                try:
-                    shard = os.listdir(full)
-                except OSError:
-                    continue  # shard removed mid-scan
-                for fname in shard:
-                    stem, ext = os.path.splitext(fname)
-                    if ext == ".json" and _DIGEST_RE.match(stem):
-                        found.add(stem)
-            elif name.endswith(".json"):
-                stem = name[: -len(".json")]
-                if _DIGEST_RE.match(stem):
+            if not (len(name) == 2 and os.path.isdir(full)):
+                continue
+            try:
+                shard = os.listdir(full)
+            except OSError:
+                continue  # shard removed mid-scan
+            for fname in shard:
+                stem, ext = os.path.splitext(fname)
+                if ext == ".json" and _DIGEST_RE.match(stem):
                     found.add(stem)
         return sorted(found)
-
-    def _find_entry_file(self, digest: str) -> str | None:
-        for candidate in (self._entry_path(digest), self._legacy_path(digest)):
-            if os.path.exists(candidate):
-                return candidate
-        return None
 
     # -- raw object writes (the remote tier and HTTP server) -------------
 
@@ -204,20 +307,7 @@ class VerdictStore(SolverCache):
         """
         if self._find_entry_file(digest) is not None:
             return False
-        target = self._entry_path(digest)
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(raw)
-            os.replace(tmp, target)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return False
-        return True
+        return _atomic_write(self._entry_path(digest), raw)
 
     def put_raw_cert(self, digest: str, raw: bytes) -> bool:
         """Write a certificate from raw (uncompressed) JSON bytes, with
@@ -225,24 +315,7 @@ class VerdictStore(SolverCache):
         Large documents gzip exactly like :meth:`store_certificate`."""
         if self._find_cert_file(digest) is not None:
             return False
-        base = self._cert_path(digest)
-        target = base
-        if len(raw) >= self.CERT_GZIP_THRESHOLD:
-            raw = gzip.compress(raw, 1)
-            target = base + ".gz"
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(raw)
-            os.replace(tmp, target)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return False
-        return True
+        return self.store_certificate(digest, raw)
 
     # -- remote write-back spool -----------------------------------------
 
@@ -316,10 +389,11 @@ class VerdictStore(SolverCache):
     def summary(self) -> dict:
         """Counts by verdict, total bytes, entry and certificate counts.
 
-        Mixed stores are the norm (entries written before certificates
-        existed sit next to certified ones), so every per-entry field
-        here is optional: a missing or unreadable certificate only
-        decrements a count, it never aborts the walk.
+        A verdict can still lack a certificate (one that failed to
+        assemble, or an archive imported from elsewhere), so every
+        per-entry field here is optional: a missing or unreadable
+        certificate only decrements a count, it never aborts the walk;
+        ``checkproof --require-certs`` is the audit that fails on it.
         """
         by_status: dict[str, int] = {}
         total_bytes = 0
@@ -412,10 +486,9 @@ class VerdictStore(SolverCache):
         """Write every entry into a ``.tar.gz``; returns the entry count.
 
         The archive stores sharded relative names
-        (``ab/ab12....json``), so importing normalizes legacy flat
-        entries into the sharded layout as a side effect.  Certificates
-        travel with their entries (``ab/ab12....cert.json[.gz]``) —
-        an imported verdict stays independently checkable.
+        (``ab/ab12....json``).  Certificates travel with their entries
+        (``ab/ab12....cert.json[.gz]``) — an imported verdict stays
+        independently checkable.
         """
         self.write_index()
         count = 0
@@ -538,12 +611,7 @@ class VerdictStore(SolverCache):
                     target = self._cert_path(digest) + (".gz" if suffix.endswith(".gz") else "")
                 else:
                     target = self._entry_path(digest)
-                os.makedirs(os.path.dirname(target), exist_ok=True)
-                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
-                with os.fdopen(fd, "wb") as out:
-                    out.write(payload)
-                os.replace(tmp, target)
-                if not is_cert:
+                if _atomic_write(target, payload) and not is_cert:
                     imported += 1
         return imported
 

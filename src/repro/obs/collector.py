@@ -48,6 +48,7 @@ __all__ = [
     "get_collector",
     "observe",
     "region",
+    "reset_after_fork",
     "span",
     "tracing",
 ]
@@ -579,6 +580,23 @@ class _Tracing:
 def tracing(absorb: bool = True, collector: Collector | None = None) -> _Tracing:
     """Start a tracing session: ``with tracing() as col: ...``."""
     return _Tracing(absorb=absorb, collector=collector)
+
+
+def reset_after_fork() -> None:
+    """Forget every tracing session this process inherited.
+
+    A child forked inside a session copies its collector stack and the
+    term/merge hooks; nobody reads that copy, so whatever the child
+    would count into it is lost work.  Scheduler workers call this on
+    start and trace only the tasks that ask for it.
+    """
+    global _active, _child_s, _union_peak
+    if _stack:
+        _stack.clear()
+        _set_hooks(False)
+    _active = None
+    _child_s = 0.0
+    _union_peak = 0
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ _EXPORTS = {
         "CheckResult",
         "SAT",
         "Solver",
-        "SolverCache",
         "SolverTimeout",
         "UNKNOWN",
         "UNSAT",

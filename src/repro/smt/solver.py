@@ -5,11 +5,13 @@ This is the stack's substitute for Z3 (Figure 1, bottom box):
 simplification-folds the assertion set (the term constructors already
 did most of the work), bit-blasts it, and runs the CDCL core.
 
-``SolverCache`` adds a persistent memo over the check-sat boundary:
-queries are keyed by the canonical (alpha-renamed) digest of their
-term DAG, so re-running a verification — or running an equivalent
-obligation produced by a different harness — replays the verdict and
-counterexample from disk instead of re-solving.
+An optional verdict store (``repro.core.store.VerdictStore``) adds a
+persistent memo over the check-sat boundary: queries are keyed by the
+canonical (alpha-renamed) digest of their term DAG, so re-running a
+verification — or running an equivalent obligation produced by a
+different harness — replays the verdict and counterexample from disk
+instead of re-solving.  Every verdict a store-backed check writes
+carries a proof certificate.
 
 Every check solves through one long-lived arena solver plus
 bit-blaster pair per process (the :class:`IncrementalSession`).
@@ -48,11 +50,8 @@ possibly-inconsistent session is rebuilt rather than reused.
 
 from __future__ import annotations
 
-import gzip
-import json
-import os
-import threading
 import time
+from typing import TYPE_CHECKING
 
 from ..obs import (
     count as obs_count,
@@ -74,32 +73,20 @@ from .sat.solver import SAT, UNKNOWN, UNSAT
 from .sorts import BOOL
 from .terms import Term, canonicalize_nodes, mk_bool, serialize_terms
 
+if TYPE_CHECKING:
+    from ..core.store import VerdictStore
+
 __all__ = [
     "Solver",
     "CheckResult",
-    "SolverCache",
     "SolverTimeout",
     "IncrementalSession",
     "get_incremental_session",
     "reset_incremental_session",
-    "certs_enabled",
     "SAT",
     "UNSAT",
     "UNKNOWN",
 ]
-
-
-def certs_enabled() -> bool:
-    """Whether cached checks also produce proof certificates.
-
-    On by default; ``REPRO_NO_CERTS=1`` opts out (the escape hatch when
-    cert emission overhead matters more than store trustworthiness).
-    Certificates are only assembled for cache-backed checks — the
-    digest is the storage key — so without a cache this flag only
-    controls whether the incremental session carries a proof log.  Read
-    per call so tests can flip the environment without reimporting.
-    """
-    return os.environ.get("REPRO_NO_CERTS", "") != "1"
 
 
 class IncrementalSession:
@@ -108,11 +95,10 @@ class IncrementalSession:
 
     def __init__(self) -> None:
         self.sat = ArenaSolver()
-        if certs_enabled():
-            # Attached before the first clause so input units are never
-            # missed; must be present from session birth because any
-            # later query's refutation may lean on clauses blasted now.
-            self.sat.proof = ProofLog()
+        # Attached before the first clause so input units are never
+        # missed; must be present from session birth because any later
+        # query's refutation may lean on clauses blasted now.
+        self.sat.proof = ProofLog()
         self.blaster = BitBlaster(self.sat)
         self.checks = 0
 
@@ -161,30 +147,6 @@ def _walk_query(terms: list[Term]) -> tuple[set[int], set[str]]:
     return seen, names
 
 
-def _atomic_write(target: str, data: bytes) -> bool:
-    """Write ``data`` to ``target`` via a rename, so readers never see
-    a torn file.  The temporary name is unique per process and thread;
-    the directory is created only when the first open finds it missing
-    (emission sits on the solve path).  False if the write failed."""
-    tmp = f"{target}.{os.getpid()}.{threading.get_ident()}.tmp"
-    try:
-        try:
-            handle = open(tmp, "wb")
-        except FileNotFoundError:
-            os.makedirs(os.path.dirname(target), exist_ok=True)
-            handle = open(tmp, "wb")
-        with handle:
-            handle.write(data)
-        os.replace(tmp, target)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        return False
-    return True
-
-
 class SolverTimeout(Exception):
     """Raised when a check exceeds its conflict or wall-clock budget."""
 
@@ -209,153 +171,6 @@ class CheckResult:
         return f"CheckResult({self.status})"
 
 
-class SolverCache:
-    """Persistent memo of solver verdicts, keyed by canonical digest.
-
-    Entries live one-file-per-digest under ``path`` and are written
-    atomically (tempfile + rename), so concurrent worker processes can
-    share a cache directory without locking: the worst race is two
-    workers solving the same query and storing identical entries.
-
-    Models are stored under canonical variable names (the alpha
-    renaming from ``canonicalize_query``) and remapped to the hitting
-    query's own variable names on load — this is what makes
-    alpha-equivalent queries share counterexamples, not just verdicts.
-    ``unknown`` verdicts are budget-dependent and are never cached.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        os.makedirs(path, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    # Certificates above this size gzip to a fraction of it; below it
-    # the gzip header overhead is not worth a second file format.
-    CERT_GZIP_THRESHOLD = 32768
-
-    def _entry_path(self, digest: str) -> str:
-        return os.path.join(self.path, f"{digest}.json")
-
-    def _cert_path(self, digest: str) -> str:
-        """Base certificate path (without the optional ``.gz``)."""
-        return os.path.join(self.path, f"{digest}.cert.json")
-
-    def store_certificate(self, digest: str, cert: dict | bytes) -> None:
-        """Persist a certificate (a document, or its JSON encoding)
-        next to its verdict entry (atomic write; large documents are
-        gzipped)."""
-        data = json.dumps(cert, separators=(",", ":")).encode() if isinstance(cert, dict) else cert
-        base = self._cert_path(digest)
-        target, stale = base, base + ".gz"
-        if len(data) >= self.CERT_GZIP_THRESHOLD:
-            # Level 1: these documents are short-lived cache siblings,
-            # and emission sits on the solve path — speed over ratio.
-            data = gzip.compress(data, 1)
-            target, stale = base + ".gz", base
-        if not _atomic_write(target, data):
-            return
-        # Two runs of the same digest may disagree on compression (the
-        # certificate depends on session history); never leave both.
-        try:
-            os.unlink(stale)
-        except OSError:
-            pass
-
-    def load_certificate(self, digest: str) -> dict | None:
-        """The stored certificate for ``digest``, or None (absent or
-        corrupt — cert-less entries are a supported legacy state)."""
-        base = self._cert_path(digest)
-        try:
-            with open(base, "rb") as handle:
-                return json.loads(handle.read().decode())
-        except (OSError, ValueError):
-            pass
-        try:
-            with open(base + ".gz", "rb") as handle:
-                return json.loads(gzip.decompress(handle.read()).decode())
-        except (OSError, ValueError):
-            return None
-
-    def _read_entry(self, digest: str) -> dict | None:
-        """Load the raw JSON entry for ``digest``, or None if absent or
-        corrupt (a torn write loses one memo, never a verdict)."""
-        try:
-            with open(self._entry_path(digest)) as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
-            return None
-
-    def lookup(self, digest: str, var_map: dict[str, str]) -> "CheckResult | None":
-        """Return the cached result for ``digest``, or None on a miss."""
-        entry = self._read_entry(digest)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return self._entry_to_result(entry, var_map)
-
-    @staticmethod
-    def _entry_to_result(entry: dict, var_map: dict[str, str]) -> "CheckResult":
-        """Materialize a stored entry as a :class:`CheckResult` for the
-        hitting query: models come back from canonical variable names to
-        the query's own names via ``var_map``.  Shared with the remote
-        read-through tier, which adopts entries from other machines and
-        must replay them identically."""
-        stats = {"cache_hit": True, "time_s": 0.0}
-        if entry["status"] == SAT:
-            canon_to_name = {canon: name for name, canon in var_map.items()}
-            values = {
-                canon_to_name[canon]: value
-                for canon, value in entry["model"].items()
-                if canon in canon_to_name
-            }
-            return CheckResult(SAT, Model(values), stats=stats)
-        return CheckResult(UNSAT, stats=stats)
-
-    def store(self, digest: str, var_map: dict[str, str], result: "CheckResult") -> None:
-        if result.status not in (SAT, UNSAT):
-            return
-        entry: dict = {"status": result.status}
-        if result.status == SAT:
-            entry["model"] = {
-                var_map[name]: value
-                for name, value in result.model.items()
-                if name in var_map
-            }
-        if not _atomic_write(self._entry_path(digest), json.dumps(entry).encode()):
-            return
-        self.stores += 1
-
-    def stats(self) -> dict:
-        queries = self.hits + self.misses
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "hit_rate": self.hits / queries if queries else 0.0,
-        }
-
-    def clear(self) -> None:
-        # Walks one shard level so clearing works for both the flat
-        # PR 2 layout and the sharded VerdictStore layout.
-        for name in os.listdir(self.path):
-            full = os.path.join(self.path, name)
-            if os.path.isdir(full) and len(name) == 2:
-                for sub in os.listdir(full):
-                    if sub.endswith((".json", ".json.gz")):
-                        try:
-                            os.unlink(os.path.join(full, sub))
-                        except OSError:
-                            pass
-            elif name.endswith((".json", ".json.gz")):
-                try:
-                    os.unlink(full)
-                except OSError:
-                    pass
-
-
 class Solver:
     """Assertion stack plus check-sat.
 
@@ -371,7 +186,7 @@ class Solver:
         self,
         max_conflicts: int | None = None,
         timeout_s: float | None = None,
-        cache: SolverCache | None = None,
+        cache: VerdictStore | None = None,
     ):
         self._assertions: list[Term] = []
         self._scopes: list[int] = []
@@ -490,7 +305,7 @@ class Solver:
         """Assemble and store this query's certificate (cache-backed
         checks only).  Must run while the solver still holds the
         answer's assignment — before any maintain()/backtrack."""
-        if digest is None or self.cache is None or sat.proof is None or not certs_enabled():
+        if self.cache is None:
             return
         serialized = getattr(self, "_serialized_query", None)
         # CPU time, not wall: with more workers than cores, wall inside
@@ -511,8 +326,7 @@ class Solver:
             self.cache.store_certificate(digest, cert)
             obs_count("solver.certs")
             # Emission seconds, accumulated as a float counter: the CI
-            # overhead gate divides this by the run's wall clock, which
-            # is immune to run-to-run wall noise in a two-run A/B.
+            # overhead gate divides this by the same run's wall clock.
             obs_count("solver.cert_build_s", time.process_time() - emit_start)
             self.last_stats["cert"] = True
         except CertificateError:

@@ -13,11 +13,11 @@ import pytest
 
 from repro.core.runner import Obligation, reduce_results, run_obligations
 from repro.core.scheduler import ObligationScheduler
+from repro.core.store import VerdictStore
 from repro.smt import solver as solver_module
 from repro.smt.sat import SAT, UNKNOWN, ArenaSolver, UNSAT
 from repro.smt.solver import (
     Solver,
-    SolverCache,
     SolverTimeout,
     get_incremental_session,
     reset_incremental_session,
@@ -214,7 +214,7 @@ class TestCacheKeys:
     def test_assumption_sets_distinguish_queries(self, tmp_path):
         """Two checks with the same goal but different assumption sets
         must not share a cache entry."""
-        cache = SolverCache(str(tmp_path))
+        cache = VerdictStore(str(tmp_path))
         x = mk_var("x", bv_sort(8))
         goal = mk_eq(x, mk_bv(1, 8))
 

@@ -148,20 +148,40 @@ class TestCounters:
         assert first.counters == second.counters
 
     def test_cache_counters(self, tmp_path):
-        from repro.smt.solver import SolverCache
+        from repro.core.store import VerdictStore
 
         x = mk_var("cachectr_x", BV8)
         goal = mk_eq(mk_bvadd(x, x), mk_bv(4, 8))
         with obs.tracing() as col:
-            Solver(cache=SolverCache(str(tmp_path))).check(goal)
-            Solver(cache=SolverCache(str(tmp_path))).check(goal)
+            Solver(cache=VerdictStore(str(tmp_path))).check(goal)
+            Solver(cache=VerdictStore(str(tmp_path))).check(goal)
         assert col.counters["solver.cache.misses"] == 1
         assert col.counters["solver.cache.hits"] == 1
         cache_spans = [e for e in col.spans if e.cat == "solver-cache"]
         assert {e.name for e in cache_spans} == {"canonicalize", "cache.lookup", "cert.build"}
 
 
+def _worker_obs_enabled(_item) -> bool:
+    return obs.enabled()
+
+
 class TestWorkerReassembly:
+    def test_workers_forked_in_a_session_trace_only_traced_tasks(self):
+        """A pool forked inside ``tracing()`` must not keep tracing into
+        the parent session's copy once the session is over."""
+        from repro.core.runner import parallel_map
+        from repro.core.scheduler import shutdown_scheduler
+
+        shutdown_scheduler()
+        try:
+            with obs.tracing():
+                inside = parallel_map(_worker_obs_enabled, range(4), jobs=2)
+            outside = parallel_map(_worker_obs_enabled, range(4), jobs=2)
+        finally:
+            shutdown_scheduler()
+        assert inside == [True] * 4
+        assert outside == [False] * 4
+
     def test_scheduler_trace_reassembly(self):
         from repro.core.scheduler import shutdown_scheduler
 

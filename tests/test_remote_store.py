@@ -218,27 +218,18 @@ class TestReadThrough:
         finally:
             server.close()
 
-    def test_certless_entry_rejected_by_default_accepted_with_knob(
-        self, tmp_path, monkeypatch
-    ):
-        # Seed the server store without certificates.
+    def test_certless_entry_rejected(self, tmp_path):
+        # A server entry whose certificate is gone.
         server_dir = str(tmp_path / "srv")
-        monkeypatch.setenv("REPRO_NO_CERTS", "1")
         [digest] = _seed(server_dir, ["rt_nc"])
-        monkeypatch.delenv("REPRO_NO_CERTS")
+        os.unlink(VerdictStore(server_dir)._find_cert_file(digest))
         server = StoreServer(server_dir).start()
         try:
-            strict = RemoteVerdictStore(str(tmp_path / "strict"), server.url)
+            local = RemoteVerdictStore(str(tmp_path / "cli"), server.url)
             with obs.tracing() as col:
-                assert strict.lookup(digest, {}) is None
+                assert local.lookup(digest, {}) is None
             assert col.counters["store.remote.rejected_certs"] == 1
-            assert strict._find_entry_file(digest) is None  # not adopted
-
-            trusting = RemoteVerdictStore(
-                str(tmp_path / "trust"), server.url, verify_certs=False
-            )
-            assert trusting.lookup(digest, {}).is_unsat
-            assert trusting._find_entry_file(digest) is not None
+            assert local._find_entry_file(digest) is None  # not adopted
         finally:
             server.close()
 
@@ -547,43 +538,53 @@ class TestMidRunKill:
 class TestPropertyRoundTrip:
     def test_random_payloads_preserve_bytes_and_binding(self, tmp_path):
         rng = random.Random(0xC0FFEE)
-        server = StoreServer(str(tmp_path / "srv")).start()
+        server_dir = str(tmp_path / "srv")
+        seeded = _seed(server_dir, ["prop_a", "prop_b", "prop_c", "prop_d"])
+        server = StoreServer(server_dir).start()
         client = RemoteStoreClient(server.url)
-        local = RemoteVerdictStore(
-            str(tmp_path / "cli"), server.url, verify_certs=False
-        )
+        local = RemoteVerdictStore(str(tmp_path / "cli"), server.url)
+        trials = 40
         try:
-            for trial in range(40):
-                digest = "".join(
-                    rng.choice("0123456789abcdef")
-                    for _ in range(rng.choice([16, 40, 64]))
-                )
-                status = rng.choice(["sat", "unsat"])
-                entry = {"status": status}
-                if status == "sat":
-                    entry["model"] = {
-                        f"c{i}": rng.randrange(2**32) for i in range(rng.randrange(4))
-                    }
-                raw = json.dumps(entry).encode()
-                created = client.put_entry(digest, raw)
-                assert created or client.head_entry(digest)
-                # Bytes survive the wire both ways.
-                assert client.get_entry(digest) == raw
-                if rng.random() < 0.5:
-                    cert = {
-                        "kind": "drat" if status == "unsat" else "model",
-                        "digest": digest,
-                        "pad": "z" * rng.choice([10, 50_000]),
-                    }
-                    cert_raw = json.dumps(cert).encode()
-                    client.put_cert(digest, cert_raw)
-                    assert client.get_cert(digest) == cert_raw
-                # Adoption binds the payload to the digest it was PUT
-                # under: the local copy reads back identically.
+            with obs.tracing() as col:
+                for trial in range(trials):
+                    digest = "".join(
+                        rng.choice("0123456789abcdef")
+                        for _ in range(rng.choice([16, 40, 64]))
+                    )
+                    status = rng.choice(["sat", "unsat"])
+                    entry = {"status": status}
+                    if status == "sat":
+                        entry["model"] = {
+                            f"c{i}": rng.randrange(2**32) for i in range(rng.randrange(4))
+                        }
+                    raw = json.dumps(entry).encode()
+                    created = client.put_entry(digest, raw)
+                    assert created or client.head_entry(digest)
+                    # Bytes survive the wire both ways.
+                    assert client.get_entry(digest) == raw
+                    if rng.random() < 0.5:
+                        cert = {
+                            "kind": "drat" if status == "unsat" else "model",
+                            "digest": digest,
+                            "pad": "z" * rng.choice([10, 50_000]),
+                        }
+                        cert_raw = json.dumps(cert).encode()
+                        client.put_cert(digest, cert_raw)
+                        assert client.get_cert(digest) == cert_raw
+                    # No certificate, or one that does not check: the
+                    # entry is never adopted.
+                    assert local.lookup(digest, {}) is None
+                    assert local._find_entry_file(digest) is None
+            assert col.counters["store.remote.rejected_certs"] == trials
+            # Adoption binds the payload to the digest it was stored
+            # under: the local copies read back identically.
+            for digest in seeded:
+                raw = client.get_entry(digest)
                 result = local.lookup(digest, {})
-                assert result is not None and result.status == status
+                assert result is not None and result.status == json.loads(raw)["status"]
                 with open(local._find_entry_file(digest), "rb") as handle:
                     assert handle.read() == raw
+                assert local.load_certificate(digest) == json.loads(client.get_cert(digest))
         finally:
             server.close()
 

@@ -19,7 +19,8 @@ from repro.bpf_jit import RV_BUGS, RvJit, check_rv_insn
 from repro.bpf_jit.checker import _sweep_one, sweep
 from repro.certikos import CertikosVerifier
 from repro.core.runner import Obligation, obligations_from_context, reduce_results, run_obligations
-from repro.smt import SolverCache, query_digest
+from repro.core.store import VerdictStore
+from repro.smt import query_digest
 from repro.sym import check_batch, fresh_bv, new_context, verify_vcs
 
 
@@ -104,7 +105,7 @@ class TestCache:
         assert [r.status for r in cold] == [r.status for r in warm]
 
     def test_sat_hit_replays_model_under_new_names(self, tmp_path):
-        cache = SolverCache(str(tmp_path / "cache"))
+        cache = VerdictStore(str(tmp_path / "cache"))
         x = fresh_bv("replay.x", 32)
         first = check_batch(
             [("x is 7", x != 7, [])], cache_dir=cache.path
@@ -144,7 +145,7 @@ class TestCache:
 
 class TestInvalidation:
     def test_changed_query_misses(self, tmp_path):
-        cache = SolverCache(str(tmp_path / "cache"))
+        cache = VerdictStore(str(tmp_path / "cache"))
         x = fresh_bv("inv.x", 32)
         run_obligations(
             [Obligation.from_terms("v1", [(x + 1 == 1 + x).term])], cache_dir=cache.path
@@ -155,7 +156,7 @@ class TestInvalidation:
         assert stats.cache_hits == 0
 
     def test_clear_forces_recompute_with_same_verdicts(self, tmp_path):
-        cache = SolverCache(str(tmp_path / "cache"))
+        cache = VerdictStore(str(tmp_path / "cache"))
         batch = _algebra_obligations("clr")
         first, _ = run_obligations(batch, cache_dir=cache.path)
         cache.clear()

@@ -79,6 +79,25 @@ def _load(path):
     return json.loads(gzip.decompress(raw) if path.endswith(".gz") else raw)
 
 
+    @pytest.mark.parametrize("missing", ["entry", "cert"])
+    def test_composite_with_an_unavailable_part_is_never_adopted(self, tmp_path, missing):
+        srv, digest = _proved_store(tmp_path, f"rgone{missing}")
+        part = _load(_cert_path(srv, digest))["parts"][0]
+        if missing == "entry":
+            os.unlink(os.path.join(srv, part[:2], f"{part}.json"))
+        else:
+            os.unlink(_cert_path(srv, part))
+        server = StoreServer(srv).start()
+        try:
+            local = RemoteVerdictStore(str(tmp_path / "cli"), server.url)
+            with obs.tracing() as col:
+                assert local.lookup(digest, {}) is None
+            assert col.counters["store.remote.rejected_certs"] == 1
+            assert local.digests() == []
+        finally:
+            server.close()
+
+
 def _cert_path(store, digest):
     for name in (f"{digest}.cert.json", f"{digest}.cert.json.gz"):
         path = os.path.join(store, digest[:2], name)
